@@ -54,6 +54,7 @@ from repro.lowerbounds.mds_square_gap import (
     GapConstructionParams,
     build_gap_family,
 )
+from repro.mpc.machine import MemoryBudgetExceeded
 from repro.sweep import (
     TABLE_HEADER,
     Cell,
@@ -1143,7 +1144,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, MemoryBudgetExceeded) as exc:
+        # Bad parameters and too-small MPC budgets are usage errors: one
+        # line on stderr and exit 2, like argparse, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

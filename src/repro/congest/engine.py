@@ -26,6 +26,11 @@ Three engine configurations implement the same synchronous-round semantics:
   benchmarks can attribute speedups to batching separately from activity
   scheduling, and as a differential baseline for the fast path.
 
+A fourth :class:`Engine` subclass, ``"mpc"``, lives with the CONGEST-to-MPC
+compiler (:mod:`repro.mpc.compile_congest`): an
+:class:`~repro.mpc.compile_congest.MPCCongestNetwork` installs it in place
+of the three above and runs the same rounds on low-space MPC machines.
+
 The wants_wake / self-wake protocol
 -----------------------------------
 Engine v2 invokes a node in round ``r`` iff at least one of:
@@ -233,16 +238,37 @@ class Engine:
         hook = on_round if on_round is not None else network.on_round
         return algorithms, stats, timeline, max_rounds, hook
 
-    def _result(self, algorithms: list["NodeAlgorithm"], stats, timeline):
+    @staticmethod
+    def _end_round(
+        timeline, hook, round_index: int, messages: int, words: int,
+        awake: int, cut_words: int, alive: int, label: str | None,
+    ) -> None:
+        """Close one round: its timeline record (when tracing) and event."""
+        if timeline is not None:
+            from repro.congest.network import RoundRecord
+
+            timeline.append(
+                RoundRecord(
+                    round_index=round_index,
+                    messages=messages,
+                    words=words,
+                    active_nodes=alive,
+                )
+            )
+        _emit_round_event(
+            hook, round_index, messages, words, awake, cut_words, label
+        )
+
+    def _result(self, by_id: dict[int, Any], stats, timeline):
+        """The run's result from its per-node outputs, by ascending id."""
         from repro.congest.network import RunResult
 
-        network = self.network
-        outputs = {
-            network._label_of[alg.node.id]: alg.output for alg in algorithms
-        }
-        by_id = {alg.node.id: alg.output for alg in algorithms}
+        label_of = self.network._label_of
         return RunResult(
-            outputs=outputs, stats=stats, by_id=by_id, trace=timeline
+            outputs={label_of[nid]: output for nid, output in by_id.items()},
+            stats=stats,
+            by_id=by_id,
+            trace=timeline,
         )
 
 
@@ -318,7 +344,9 @@ class SynchronousEngine(Engine):
                 stats.cut_words - before_cut, label,
             )
 
-        return self._result(algorithms, stats, timeline)
+        return self._result(
+            {alg.node.id: alg.output for alg in algorithms}, stats, timeline
+        )
 
 
 def _payload_cache_key(payload: Any) -> Any:
@@ -413,8 +441,6 @@ class ActivityEngine(Engine):
         on_round=None,
         label: str | None = None,
     ) -> "RunResult":
-        from repro.congest.network import RoundRecord
-
         network = self.network
         algorithms, stats, timeline, max_rounds, hook = self._setup(
             factory, inputs, max_rounds, trace, on_round
@@ -428,18 +454,9 @@ class ActivityEngine(Engine):
                 scheduler.node_finished()
             elif alg.wants_wake():
                 scheduler.request_wake(alg.node.id)
-        if timeline is not None:
-            timeline.append(
-                RoundRecord(
-                    round_index=0,
-                    messages=stats.messages,
-                    words=stats.total_words,
-                    active_nodes=scheduler.live,
-                )
-            )
-        _emit_round_event(
-            hook, 0, stats.messages, stats.total_words, len(algorithms),
-            stats.cut_words, label,
+        self._end_round(
+            timeline, hook, 0, stats.messages, stats.total_words,
+            len(algorithms), stats.cut_words, scheduler.live, label,
         )
 
         while scheduler.live:
@@ -467,26 +484,20 @@ class ActivityEngine(Engine):
                     scheduler.node_finished()
                 elif alg.wants_wake():
                     scheduler.request_wake(node_id)
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=stats.messages - before_messages,
-                        words=stats.total_words - before_words,
-                        active_nodes=scheduler.live,
-                    )
-                )
-            _emit_round_event(
-                hook, stats.rounds, stats.messages - before_messages,
+            self._end_round(
+                timeline, hook, stats.rounds,
+                stats.messages - before_messages,
                 stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, label,
+                stats.cut_words - before_cut, scheduler.live, label,
             )
             if not runnable and not ring.has_pending():
                 self._spin_to_limit(
                     stats, timeline, max_rounds, scheduler, hook, label
                 )
 
-        return self._result(algorithms, stats, timeline)
+        return self._result(
+            {alg.node.id: alg.output for alg in algorithms}, stats, timeline
+        )
 
     def _spin_to_limit(
         self, stats, timeline, max_rounds: int, scheduler, hook=None,
@@ -495,8 +506,6 @@ class ActivityEngine(Engine):
         """Every live node sleeps and no traffic is in flight: nothing can
         ever happen again.  The reference engine would keep running empty
         rounds to the limit; reproduce its trace and error exactly."""
-        from repro.congest.network import RoundRecord
-
         while True:
             if stats.rounds >= max_rounds:
                 raise RoundLimitError(
@@ -504,16 +513,10 @@ class ActivityEngine(Engine):
                     f"({scheduler.live} nodes alive)"
                 )
             stats.rounds += 1
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=0,
-                        words=0,
-                        active_nodes=scheduler.live,
-                    )
-                )
-            _emit_round_event(hook, stats.rounds, 0, 0, 0, 0, label)
+            self._end_round(
+                timeline, hook, stats.rounds, 0, 0, 0, 0, scheduler.live,
+                label,
+            )
 
     def _collect(
         self,

@@ -245,10 +245,18 @@ class CongestNetwork:
             for u, v in cut:
                 self._cut.add(frozenset((self._id_of[u], self._id_of[v])))
         self.node_state: dict[int, dict] = {i: {} for i in range(self.n)}
+        self._engine = self._create_engine(engine)
 
+    def _create_engine(self, engine: str | None) -> Any:
+        """The engine executing this network's rounds (see :meth:`run`).
+
+        Networks with their own round loop — the MPC compiler's
+        :class:`~repro.mpc.compile_congest.MPCCongestNetwork` — override
+        this to install it instead of a CONGEST engine.
+        """
         from repro.congest.engine import create_engine
 
-        self._engine = create_engine(self, engine)
+        return create_engine(self, engine)
 
     @property
     def engine_name(self) -> str:

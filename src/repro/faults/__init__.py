@@ -13,7 +13,7 @@ the ledger records:
   `MPCRuntime.shuffle`) behind a no-op-when-absent interface.
 - :mod:`repro.faults.recovery` — the :class:`RecoveryConfig` knob plus
   the :class:`DegradedExecutionWarning` surfaced when a pool exhausts
-  its recovery budget and falls back to the verbatim serial path.
+  its recovery budget and falls back to the in-process executor.
 
 The recovery oracle is the byte-identical shuffle ledger: a
 crash-recovered run must produce the same ShuffleRecord stream,

@@ -18,7 +18,7 @@ DEFAULT_CHECKPOINT_INTERVAL = 6
 class DegradedExecutionWarning(RuntimeWarning):
     """An MPC shard pool exhausted its recovery budget.
 
-    Execution continues on the verbatim in-process serial path (state
+    Execution continues on the in-process executor (handler state
     restored from the last barrier checkpoint plus a replay of the
     barriers since), so results and the shuffle ledger are unchanged —
     only the hardware parallelism is lost.

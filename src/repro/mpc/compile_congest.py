@@ -42,6 +42,16 @@ Two ledgers are kept at once, and that is the point:
   bites: smaller budgets mean more machines, more cross traffic and
   eventually :class:`~repro.mpc.machine.MemoryBudgetExceeded`.
 
+There is one round loop, in the ``"mpc"`` :class:`~repro.congest.engine.Engine`
+that the network installs in place of the CONGEST engines (so
+:meth:`CongestNetwork.run` keeps the tracing tee and the engine base the
+round-event construction).  Per window it plans the length, shuffles or
+replays, and steps ``_CompiledShard`` handlers through one of two
+executors of :mod:`repro.mpc.parallel`: in-process, with one shard of
+every node (``workers=1``, or no ``fork``), or a pool of forked shard
+workers.  The executor is the loop's only variable, so neither ledger
+can depend on how machines are laid out on shards.
+
 The MPC analogues anchoring this adapter: deterministic low-space ruling
 sets compile CONGEST-style local steps the same way ([PaiP22]_,
 arXiv:2205.12686), and the component-stability framework ([CzumajDP21]_,
@@ -57,14 +67,13 @@ from typing import Any
 
 import networkx as nx
 
+from repro.congest.engine import Engine
 from repro.congest.errors import RoundLimitError
 from repro.congest.message import payload_words
 from repro.congest.network import (
-    DEFAULT_ROUND_FACTOR,
     AlgorithmFactory,
     CongestNetwork,
     RoundEvent,
-    RoundRecord,
     RunResult,
     RunStats,
 )
@@ -124,16 +133,12 @@ class MPCCongestNetwork(CongestNetwork):
         workers: int | None = None,
         faults: Any = None,
     ) -> None:
-        # The base class insists on building an engine; pin "v1" so the
-        # construction never depends on REPRO_ENGINE.  It is never used —
-        # run() below executes the rounds on the MPC runtime instead.
         super().__init__(
             graph,
             word_limit=word_limit,
             strict=strict,
             seed=seed,
             cut=cut,
-            engine="v1",
             on_round=on_round,
         )
         self._estimator = None
@@ -200,7 +205,6 @@ class MPCCongestNetwork(CongestNetwork):
         #: checkpointed crash recovery on the shard pool.  ``None`` (the
         #: default) leaves the fault-free hot path untouched.
         self.fault_injector = None
-        self._recovery = None
         if faults:
             from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
 
@@ -210,13 +214,10 @@ class MPCCongestNetwork(CongestNetwork):
                 else faults
             )
             self.fault_injector = FaultInjector(plan)
-            self._recovery = RecoveryConfig(max_recoveries=plan.max_recoveries)
             self.runtime.fault_injector = self.fault_injector
-            self.runtime.recovery = self._recovery
-
-    @property
-    def engine_name(self) -> str:
-        return "mpc"
+            self.runtime.recovery = RecoveryConfig(
+                max_recoveries=plan.max_recoveries
+            )
 
     @property
     def num_machines(self) -> int:
@@ -256,146 +257,10 @@ class MPCCongestNetwork(CongestNetwork):
 
     # -- compiled execution -------------------------------------------------
 
-    def run(
-        self,
-        factory: AlgorithmFactory,
-        inputs: Mapping[Any, Any] | None = None,
-        max_rounds: int | None = None,
-        trace: bool = False,
-        on_round: Callable[[RoundEvent], None] | None = None,
-        label: str | None = None,
-    ) -> RunResult:
-        """Execute one CONGEST algorithm, at most one shuffle per round.
-
-        The loop is the reference engine's, verbatim in structure: the
-        only difference is how a round's pending messages reach their
-        targets' inboxes.  At ``compress=1`` (or whenever a larger window
-        does not fit) each round routes through one
-        :meth:`MPCRuntime.shuffle`; with ``compress=k`` the adaptive
-        window planner batches up to ``k`` rounds behind a single
-        prefetch shuffle and replays them machine-locally.  Either way
-        the CONGEST-side metering (``stats``, traces, round events) is
-        produced by the identical per-round body, so the parity contract
-        is independent of the window length.
-        """
-        if max_rounds is None:
-            max_rounds = DEFAULT_ROUND_FACTOR * self.n * self.n + 1000
-        hook = on_round if on_round is not None else self.on_round
-        tracer = self.tracer
-        if tracer is None:
-            return self._run_compiled(
-                factory, inputs, max_rounds, trace, hook, label
-            )
-        # Tracing tee (see CongestNetwork.run): propagate the recorder to
-        # the shuffle barrier and the fault plane, span the stage, sample
-        # a counter per RoundEvent.  All of it observes after-the-fact —
-        # planning, metering and the ledgers never read the clock.
-        self.runtime.tracer = tracer
-        if (
-            self.fault_injector is not None
-            and getattr(self.fault_injector, "tracer", None) is None
-        ):
-            self.fault_injector.tracer = tracer
-
-        def traced_hook(event: RoundEvent, _inner=hook) -> None:
-            tracer.counter(
-                "congest.round",
-                {
-                    "messages": event.messages,
-                    "words": event.words,
-                    "awake": event.awake,
-                },
-            )
-            if _inner is not None:
-                _inner(event)
-
-        with tracer.span(
-            label or "run", cat="stage", engine="mpc", n=self.n
-        ):
-            return self._run_compiled(
-                factory, inputs, max_rounds, trace, traced_hook, label
-            )
-
-    def _run_compiled(
-        self,
-        factory: AlgorithmFactory,
-        inputs: Mapping[Any, Any] | None,
-        max_rounds: int,
-        trace: bool,
-        hook: Callable[[RoundEvent], None] | None,
-        label: str | None,
-    ) -> RunResult:
-        """The compiled execution loop behind :meth:`run`."""
-        tracer = self.tracer
-        effective_workers = min(self.workers, self.num_machines)
-        if effective_workers > 1 and _parallel.fork_available():
-            node_shards = self._node_shards(effective_workers)
-            if len(node_shards) > 1:
-                return self._run_parallel(
-                    factory, inputs, max_rounds, trace, hook, label,
-                    node_shards,
-                )
-        views = self._make_views(inputs)
-        algorithms = [factory(view) for view in views]
-        stats = RunStats(word_bits=self.word_bits)
-        timeline: list[RoundRecord] | None = [] if trace else None
-
-        pending: dict[int, dict[int, Any]] = {i: {} for i in range(self.n)}
-        for alg in algorithms:
-            self._collect(alg, alg.on_start(), pending, stats)
-        self._emit(timeline, hook, 0, stats.messages, stats.total_words,
-                   len(algorithms), stats.cut_words,
-                   sum(1 for a in algorithms if not a.done), label)
-
-        while not all(alg.done for alg in algorithms):
-            if stats.rounds >= max_rounds:
-                raise RoundLimitError(
-                    f"no termination within {max_rounds} rounds "
-                    f"({sum(1 for a in algorithms if not a.done)} nodes alive)"
-                )
-            live_machines = len(
-                {self._host[a.node.id] for a in algorithms if not a.done}
-            )
-            window = self._plan_window(pending)
-            if window == 1:
-                inboxes = self._shuffle_round(pending, live_machines)
-                pending = {i: {} for i in range(self.n)}
-                self._execute_round(
-                    algorithms, inboxes, pending, stats, timeline, hook, label
-                )
-                continue
-            if tracer is not None:
-                tracer.begin("window", cat="mpc", k=window)
-            self._prefetch_window(pending, window, live_machines)
-            executed = 0
-            for _ in range(window):
-                if all(alg.done for alg in algorithms):
-                    break
-                if stats.rounds >= max_rounds:
-                    raise RoundLimitError(
-                        f"no termination within {max_rounds} rounds "
-                        f"({sum(1 for a in algorithms if not a.done)} "
-                        f"nodes alive)"
-                    )
-                inboxes = self._local_inboxes(pending)
-                pending = {i: {} for i in range(self.n)}
-                self._execute_round(
-                    algorithms, inboxes, pending, stats, timeline, hook, label
-                )
-                executed += 1
-            self.runtime.absorb_early_finish(window - executed)
-            if tracer is not None:
-                tracer.end(executed=executed)
-
-        outputs = {
-            self._label_of[alg.node.id]: alg.output for alg in algorithms
-        }
-        by_id = {alg.node.id: alg.output for alg in algorithms}
-        return RunResult(
-            outputs=outputs, stats=stats, by_id=by_id, trace=timeline
-        )
-
-    # -- process-parallel execution -----------------------------------------
+    def _create_engine(self, engine: str | None) -> "_CompiledEngine":
+        # The compiled round loop replaces the CONGEST engines outright, so
+        # construction never depends on ``engine``/``REPRO_ENGINE``.
+        return _CompiledEngine(self)
 
     def _node_shards(self, workers: int) -> list[tuple[int, ...]]:
         """Group hosted node ids by shard: machines round-robin to workers.
@@ -415,206 +280,6 @@ class MPCCongestNetwork(CongestNetwork):
                 shards.append(nodes)
         return shards
 
-    def _run_parallel(
-        self,
-        factory: AlgorithmFactory,
-        inputs: Mapping[Any, Any] | None,
-        max_rounds: int,
-        trace: bool,
-        hook: Callable[[RoundEvent], None] | None,
-        label: str | None,
-        node_shards: list[tuple[int, ...]],
-    ) -> RunResult:
-        """The machine-parallel twin of :meth:`run`'s serial loop.
-
-        Views and algorithms are constructed in the parent (so any
-        construction-time randomness draws from the exact per-node streams
-        the serial path uses) and cross into the shard workers once, at
-        fork time.  Each round the parent plans the window, executes the
-        metered shuffle (the shared barrier — budget violations raise
-        here, identically to serial), scatters per-shard inbox slices, and
-        merges the returned fragments: pending messages normalized to
-        ascending sender id (the serial insertion order), counter stats
-        summed, ``max_words_per_edge_round`` max-combined, RoundEvents
-        emitted parent-side.  The CONGEST and MPC ledgers are therefore
-        byte-identical to the serial path; only wall-clock time changes.
-        """
-        views = self._make_views(inputs)
-        algorithms = [factory(view) for view in views]
-        handlers = [
-            _CompiledShard(self, algorithms, shard) for shard in node_shards
-        ]
-        stats = RunStats(word_bits=self.word_bits)
-        timeline: list[RoundRecord] | None = [] if trace else None
-        done: set[int] = set()
-        outputs_by_id: dict[int, Any] = {}
-
-        def merge(frags: list[dict[str, Any]]) -> dict[int, dict[int, Any]]:
-            _parallel.raise_shard_error(frags)
-            pending: dict[int, dict[int, Any]] = {
-                i: {} for i in range(self.n)
-            }
-            buckets: dict[int, list[tuple[int, Any]]] = {}
-            for frag in frags:
-                for target, sender, payload in frag["pending"]:
-                    buckets.setdefault(target, []).append((sender, payload))
-                messages, words, max_words, cut = frag["stats"]
-                stats.messages += messages
-                stats.total_words += words
-                stats.max_words_per_edge_round = max(
-                    stats.max_words_per_edge_round, max_words
-                )
-                stats.cut_words += cut
-                for nid, output in frag["finished"]:
-                    done.add(nid)
-                    outputs_by_id[nid] = output
-            for target, items in buckets.items():
-                if len(items) > 1:
-                    items.sort(key=lambda entry: entry[0])
-                pending[target].update(items)
-            return pending
-
-        tracer = self.tracer
-        with _parallel.ForkShardPool(
-            handlers,
-            injector=self.fault_injector,
-            recovery=self._recovery,
-            tracer=tracer,
-        ) as pool:
-            pending = merge(pool.step_all(("start", None)))
-            self._emit(timeline, hook, 0, stats.messages, stats.total_words,
-                       len(algorithms), stats.cut_words,
-                       self.n - len(done), label)
-            while len(done) < self.n:
-                if stats.rounds >= max_rounds:
-                    raise RoundLimitError(
-                        f"no termination within {max_rounds} rounds "
-                        f"({self.n - len(done)} nodes alive)"
-                    )
-                live_machines = len(
-                    {self._host[nid] for nid in range(self.n)
-                     if nid not in done}
-                )
-                window = self._plan_window(pending)
-                if window == 1:
-                    inboxes = self._shuffle_round(pending, live_machines)
-                    pending = self._parallel_round(
-                        pool, node_shards, inboxes, done, stats, merge,
-                        timeline, hook, label,
-                    )
-                    continue
-                if tracer is not None:
-                    tracer.begin("window", cat="mpc", k=window)
-                self._prefetch_window(pending, window, live_machines)
-                executed = 0
-                for _ in range(window):
-                    if len(done) >= self.n:
-                        break
-                    if stats.rounds >= max_rounds:
-                        raise RoundLimitError(
-                            f"no termination within {max_rounds} rounds "
-                            f"({self.n - len(done)} nodes alive)"
-                        )
-                    inboxes = self._local_inboxes(pending)
-                    pending = self._parallel_round(
-                        pool, node_shards, inboxes, done, stats, merge,
-                        timeline, hook, label,
-                    )
-                    executed += 1
-                self.runtime.absorb_early_finish(window - executed)
-                if tracer is not None:
-                    tracer.end(executed=executed)
-            for frag in pool.step_all(("finalize", None)):
-                for nid, state in frag["state"].items():
-                    self.node_state[nid] = state
-        outputs = {
-            self._label_of[nid]: outputs_by_id[nid] for nid in range(self.n)
-        }
-        by_id = {nid: outputs_by_id[nid] for nid in range(self.n)}
-        return RunResult(
-            outputs=outputs, stats=stats, by_id=by_id, trace=timeline
-        )
-
-    def _parallel_round(
-        self, pool, node_shards, inboxes, done, stats, merge,
-        timeline, hook, label=None,
-    ) -> dict[int, dict[int, Any]]:
-        """One CONGEST round executed across the shard workers."""
-        tasks = []
-        for shard in node_shards:
-            slice_: dict[int, dict[int, Any]] = {}
-            for nid in shard:
-                if nid in done:
-                    continue
-                box = inboxes.get(nid)
-                if box:
-                    slice_[nid] = box
-            tasks.append(("round", slice_))
-        frags = pool.step(tasks)
-        stats.rounds += 1
-        before_messages = stats.messages
-        before_words = stats.total_words
-        before_cut = stats.cut_words
-        pending = merge(frags)
-        awake = sum(frag["awake"] for frag in frags)
-        self._emit(
-            timeline, hook, stats.rounds,
-            stats.messages - before_messages,
-            stats.total_words - before_words,
-            awake, stats.cut_words - before_cut,
-            self.n - len(done), label,
-        )
-        return pending
-
-    def _execute_round(
-        self, algorithms, inboxes, pending, stats, timeline, hook,
-        label=None,
-    ) -> None:
-        """One CONGEST round: the reference engine's body, verbatim."""
-        stats.rounds += 1
-        before_messages = stats.messages
-        before_words = stats.total_words
-        before_cut = stats.cut_words
-        awake = 0
-        for alg in algorithms:
-            if alg.done:
-                continue
-            awake += 1
-            outbox = alg.on_round(inboxes[alg.node.id])
-            self._collect(alg, outbox, pending, stats)
-        self._emit(
-            timeline, hook, stats.rounds,
-            stats.messages - before_messages,
-            stats.total_words - before_words,
-            awake, stats.cut_words - before_cut,
-            sum(1 for a in algorithms if not a.done), label,
-        )
-
-    def _emit(
-        self, timeline, hook, round_index, messages, words, awake, cut,
-        alive, label=None,
-    ) -> None:
-        if timeline is not None:
-            timeline.append(
-                RoundRecord(
-                    round_index=round_index,
-                    messages=messages,
-                    words=words,
-                    active_nodes=alive,
-                )
-            )
-        if hook is not None:
-            hook(
-                RoundEvent(
-                    round_index=round_index,
-                    messages=messages,
-                    words=words,
-                    awake=awake,
-                    cut_words=cut,
-                    stage_label=label,
-                )
-            )
-
     def _shuffle_round(
         self, pending: dict[int, dict[int, Any]], live_machines: int
     ) -> dict[int, dict[int, Any]]:
@@ -623,7 +288,7 @@ class MPCCongestNetwork(CongestNetwork):
         outboxes: list[list[tuple[int, Any]]] = [
             [] for _ in range(self.num_machines)
         ]
-        inboxes: dict[int, dict[int, Any]] = {i: {} for i in range(self.n)}
+        inboxes: dict[int, dict[int, Any]] = collections.defaultdict(dict)
         for target, senders in pending.items():
             target_host = host[target]
             box = inboxes[target]
@@ -926,16 +591,19 @@ class MPCCongestNetwork(CongestNetwork):
 class _CompiledShard:
     """Shard handler for compiled runs: a fixed slice of node algorithms.
 
-    Fork-inherits a full copy of the network and the constructed
-    algorithms; owns the algorithms of its node ids (ascending, so the
-    intra-shard execution order is a subsequence of the serial order).
-    Per ``("round", inbox-slice)`` task it runs each live algorithm's
-    ``on_round`` and funnels the outbox through the inherited
-    :meth:`CongestNetwork._collect` — the exact validation and metering
-    the serial loop applies — into a shard-local pending/stats fragment
-    the parent merges.  ``("finalize", None)`` ships the shard's node
-    state dicts back so the parent network looks post-run to drivers
-    that read ``network.node_state`` directly.
+    Owns the algorithms of its node ids (ascending, so the intra-shard
+    execution order is a subsequence of the single-shard order); on a
+    fork pool it works on a fork-inherited copy of the network and the
+    constructed algorithms.  Per ``("round", inboxes)`` task it runs each
+    live algorithm's ``on_round`` and funnels the outbox through the
+    inherited :meth:`CongestNetwork._collect` — the reference validation
+    and metering — into a fragment the engine merges: ``pending`` (the
+    shard's target -> {sender: payload} dicts), a ``RunStats`` delta, the
+    awake count and newly finished ``(node id, output)`` pairs.  A failing
+    algorithm's node id is left in ``unit`` and its exception re-raised.
+    ``("finalize", None)`` returns the shard's node state dicts so the
+    parent network looks post-run to drivers that read
+    ``network.node_state`` directly.
 
     ``("checkpoint", None)`` snapshots each algorithm's mutable state —
     its ``__dict__`` (minus the node view), the node's state dict and
@@ -979,33 +647,26 @@ class _CompiledShard:
                 del alg.__dict__[key]
             alg.__dict__.update(attrs)
 
-    def __call__(self, task: Any) -> dict[str, Any]:
+    def __call__(self, task: Any) -> Any:
         kind, inboxes = task
         net = self._net
         if kind == "checkpoint":
             return self._checkpoint()
         if kind == "restore":
             self._restore(inboxes)
-            return {"restored": len(self._algs), "error": None}
+            return len(self._algs)
         if kind == "finalize":
-            return {
-                "state": {
-                    alg.node.id: net.node_state[alg.node.id]
-                    for alg in self._algs
-                },
-                "error": None,
-            }
+            return {alg.node.id: net.node_state[alg.node.id] for alg in self._algs}
         pending: dict[int, dict[int, Any]] = collections.defaultdict(dict)
         stats = RunStats(word_bits=net.word_bits)
         awake = 0
         finished: list[tuple[int, Any]] = []
-        error: tuple[int, str, str, str] | None = None
         for alg in self._algs:
             if kind != "start" and alg.done:
                 continue
             try:
-                # "start" runs every algorithm unconditionally, exactly
-                # like the serial loop over ``alg.on_start()``.
+                # "start" runs every algorithm unconditionally, like the
+                # reference engine's loop over ``alg.on_start()``.
                 if kind == "start":
                     outbox = alg.on_start()
                 else:
@@ -1013,27 +674,161 @@ class _CompiledShard:
                     inbox = inboxes.get(alg.node.id)
                     outbox = alg.on_round({} if inbox is None else inbox)
                 net._collect(alg, outbox, pending, stats)
-            except Exception as exc:
-                error = _parallel.describe_error(alg.node.id, exc)
-                break
+            except Exception:
+                self.unit = alg.node.id
+                raise
             if alg.done:
                 finished.append((alg.node.id, alg.output))
         return {
-            "pending": [
-                (target, sender, payload)
-                for target, box in pending.items()
-                for sender, payload in box.items()
-            ],
-            "stats": (
-                stats.messages,
-                stats.total_words,
-                stats.max_words_per_edge_round,
-                stats.cut_words,
-            ),
+            "pending": pending,
+            "stats": stats,
             "awake": awake,
             "finished": finished,
-            "error": error,
         }
+
+
+class _CompiledEngine(Engine):
+    """The ``"mpc"`` engine: one compiled round loop, two executors.
+
+    The reference engine's loop with one change — how a round's pending
+    messages reach their targets' inboxes.  Each window the loop asks the
+    planner for a length ``k``: at ``k = 1`` (``compress=1``, or whenever
+    a larger window does not fit) the round routes through one
+    :meth:`MPCRuntime.shuffle`; otherwise one prefetch shuffle carries
+    the frontier and the ``k`` rounds replay machine-locally.  The node
+    algorithms run in :class:`_CompiledShard` handlers stepped through an
+    executor of :mod:`repro.mpc.parallel` — in-process with one shard of
+    every node, or a fork pool with one shard per worker, machines
+    round-robin — and the parent folds the fragments into the CONGEST
+    ledger and emits the round events.  The executor is the loop's only
+    variable, so outputs, ``RunStats``, traces, round events and the MPC
+    ledger cannot depend on the worker count or the window length.
+    """
+
+    name = "mpc"
+
+    def run(
+        self,
+        factory: AlgorithmFactory,
+        inputs: Mapping[Any, Any] | None = None,
+        max_rounds: int | None = None,
+        trace: bool = False,
+        on_round: Callable[[RoundEvent], None] | None = None,
+        label: str | None = None,
+    ) -> RunResult:
+        net: MPCCongestNetwork = self.network
+        algorithms, stats, timeline, max_rounds, hook = self._setup(
+            factory, inputs, max_rounds, trace, on_round
+        )
+        runtime = net.runtime
+        tracer = net.tracer
+        if tracer is not None:
+            # Observation only: the shuffle barrier and the fault plane
+            # mark into the network's recorder; planning, metering and
+            # the ledgers never read it.
+            runtime.tracer = tracer
+            injector = runtime.fault_injector
+            if injector is not None and injector.tracer is None:
+                injector.tracer = tracer
+        n = net.n
+        host = net._host
+        shards = net._node_shards(_parallel.shard_workers(net.workers))
+        handlers = [_CompiledShard(net, algorithms, shard) for shard in shards]
+        outputs: dict[int, Any] = {}
+
+        def limit_error() -> RoundLimitError:
+            return RoundLimitError(
+                f"no termination within {max_rounds} rounds "
+                f"({n - len(outputs)} nodes alive)"
+            )
+
+        with _parallel.open_shards(
+            handlers,
+            injector=runtime.fault_injector,
+            recovery=runtime.recovery,
+            tracer=tracer,
+        ) as executor:
+            pending, delta, _awake = self._merge(
+                executor.step_all(("start", None)), outputs
+            )
+            stats = stats + delta
+            self._end_round(
+                timeline, hook, 0, delta.messages, delta.total_words, n,
+                delta.cut_words, n - len(outputs), label,
+            )
+            while len(outputs) < n:
+                if stats.rounds >= max_rounds:
+                    raise limit_error()
+                live_machines = len(
+                    {host[nid] for nid in range(n) if nid not in outputs}
+                )
+                window = net._plan_window(pending)
+                if window > 1:
+                    if tracer is not None:
+                        tracer.begin("window", cat="mpc", k=window)
+                    net._prefetch_window(pending, window, live_machines)
+                executed = 0
+                while executed < window and len(outputs) < n:
+                    if executed and stats.rounds >= max_rounds:
+                        raise limit_error()
+                    if window == 1:
+                        inboxes = net._shuffle_round(pending, live_machines)
+                    else:
+                        inboxes = net._local_inboxes(pending)
+                    if len(shards) == 1:
+                        tasks = [("round", inboxes)]
+                    else:
+                        tasks = [
+                            ("round", {
+                                nid: inboxes[nid] for nid in shard
+                                if nid in inboxes and nid not in outputs
+                            })
+                            for shard in shards
+                        ]
+                    stats.rounds += 1
+                    pending, delta, awake = self._merge(
+                        executor.step(tasks), outputs
+                    )
+                    stats = stats + delta
+                    self._end_round(
+                        timeline, hook, stats.rounds, delta.messages,
+                        delta.total_words, awake, delta.cut_words,
+                        n - len(outputs), label,
+                    )
+                    executed += 1
+                if window > 1:
+                    runtime.absorb_early_finish(window - executed)
+                    if tracer is not None:
+                        tracer.end(executed=executed)
+            for node_state in executor.step_all(("finalize", None)):
+                net.node_state.update(node_state)
+        return self._result(
+            {nid: outputs[nid] for nid in range(n)}, stats, timeline
+        )
+
+    @staticmethod
+    def _merge(
+        frags: list[dict[str, Any]], outputs: dict[int, Any]
+    ) -> tuple[dict[int, dict[int, Any]], RunStats, int]:
+        """Fold one step's fragments: pending messages, stats, awake count.
+
+        Newly finished nodes land in ``outputs``.  Shard fragments are
+        merged without re-sorting: every inbox is ordered by ascending
+        sender on delivery (:meth:`MPCCongestNetwork._shuffle_round`,
+        :meth:`MPCCongestNetwork._local_inboxes`), so the merge order is
+        immaterial.
+        """
+        pending = frags[0]["pending"]
+        for frag in frags[1:]:
+            for target, box in frag["pending"].items():
+                pending[target].update(box)
+        for frag in frags:
+            outputs.update(frag["finished"])
+        return (
+            pending,
+            sum((frag["stats"] for frag in frags), RunStats()),
+            sum(frag["awake"] for frag in frags),
+        )
 
 
 # -- parity harness ---------------------------------------------------------

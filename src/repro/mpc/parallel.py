@@ -1,43 +1,48 @@
-"""Process-parallel execution of one MPC instance's machines.
+"""Shard executors for the MPC round loops, serial and process-parallel.
 
-The simulator historically ran every machine of an instance machine-major
-in a single interpreter: a 16-machine simulation got zero hardware
-parallelism (the sweep pool only parallelizes *across* cells).  This
-module supplies the missing layer — a pool of **shard workers**, each
-owning a fixed subset of the instance's machines, executing their local
-per-round computation concurrently while every metered shuffle stays a
-barrier in the parent process.
+Both MPC round loops — :class:`~repro.mpc.runtime.MPCRuntime.run` over
+native machine programs and the compiled CONGEST engine of
+:mod:`repro.mpc.compile_congest` — are written once.  Each splits its
+units (machines or vertices) into shards, wraps every shard in a handler
+(:class:`ProgramShard`, ``_CompiledShard``) and steps the handlers
+through an *executor*, with every metered shuffle a barrier in the
+parent process between steps.  The loop's only variable is the executor,
+chosen by :func:`open_shards`:
 
-The plumbing deliberately mirrors the sweep runner's fork/pickle-once
-discipline (:mod:`repro.sweep.runner`): the immutable instance state —
-graph, partition, compiled programs/algorithms — crosses into the workers
-exactly once at fork time (inherited copy-on-write under the ``fork``
-start method, the same mechanism that ships the runner's prewarmed graph
-cache), and only small mutable per-round deltas cross the pipes
-afterwards: inbox slices down, ``(pending, stats-delta, finished)``
-fragments up.  Platforms without ``fork`` fall back to the verbatim
-serial path rather than paying a per-round pickle of the whole instance.
+* :class:`InProcessShards` — one shard holding every unit, stepped in
+  this process.  This is the serial path (``workers=1``, or a platform
+  without the ``fork`` start method): it forks nothing, fires no fault
+  injector or pool hook, emits no pool trace events, and an exception
+  raised by a unit propagates as the original object with its traceback.
+* :class:`ForkShardPool` — a pool of **shard workers**, each owning a
+  fixed subset of the units, executing their local per-round computation
+  concurrently.  The plumbing mirrors the sweep runner's fork/pickle-once
+  discipline (:mod:`repro.sweep.runner`): the immutable instance state —
+  graph, partition, compiled programs/algorithms — crosses into the
+  workers exactly once at fork time (inherited copy-on-write), and only
+  small mutable per-round deltas cross the pipes afterwards: inbox slices
+  down, ``(pending, stats-delta, finished)`` fragments up.
 
-**Parity contract.**  Shard workers change *where* local computation
+**Parity contract.**  The executor changes *where* local computation
 runs, never *what* the ledger records: every shuffle is executed by the
 parent against the parent's metered :class:`~repro.mpc.runtime.MPCRuntime`
-(the shared shuffle barrier), worker stats deltas are additive (or
-max-combinable) exactly like the serial accumulation, and fragment merge
-order is normalized (ascending sender/machine id — the order the serial
-loop produces).  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents
-and the metrics deterministic section are therefore byte-identical at any
-worker count; ``tests/test_mpc_parallel.py`` enforces this
-differentially.
+(the shared shuffle barrier), fragment stats are additive (or
+max-combinable) and every inbox is ordered by ascending sender before
+delivery.  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents and the
+metrics deterministic section are therefore byte-identical at any worker
+count; ``tests/test_mpc_parallel.py`` enforces this differentially.
 
-**Typed error transport.**  An exception raised inside a shard worker —
-canonically :class:`~repro.mpc.machine.MemoryBudgetExceeded` from a
-``Machine.charge`` during ``on_round`` — is shipped back as ``(unit id,
-exception module, qualname, message)`` and re-raised in the parent as the
-*same* exception type with the *same* message, never as a pickling or
-``BrokenProcessPool`` error.  When several units fail in one round the
-parent raises the smallest unit id's error: per-round unit computations
-are independent, so that is exactly the error the serial ascending-id
-loop would have hit first.
+**Typed error transport.**  A handler that fails records the failing
+unit id as its ``unit`` attribute and re-raises.  Across a worker pipe —
+and only there — the exception is shipped back as ``(unit id, exception
+module, qualname, message)`` and re-raised in the parent as the *same*
+exception type with the *same* message, never as a pickling or
+``BrokenProcessPool`` error; canonically this is
+:class:`~repro.mpc.machine.MemoryBudgetExceeded` from a
+``Machine.charge`` during ``on_round``.  When several shards fail in one
+step, either executor raises the smallest unit id's error: per-round unit
+computations are independent, so that is exactly the error a single
+ascending-id loop would have hit first.
 """
 
 from __future__ import annotations
@@ -157,26 +162,24 @@ def rebuild_exception(
     return RuntimeError(f"{module}.{qualname}: {message}")
 
 
-def raise_shard_error(frags: Sequence[dict[str, Any]]) -> None:
-    """Re-raise the smallest-unit-id error embedded in round fragments.
+def raise_shard_error(errors: Sequence[tuple[int, str, str, str]]) -> None:
+    """Re-raise the smallest-unit-id error among ``describe_error`` tuples.
 
     Per-round unit computations are independent of each other, so the
-    smallest failing unit id is exactly the failure the serial
-    ascending-id loop would have raised first — type and message included.
+    smallest failing unit id is exactly the failure a single ascending-id
+    loop would have raised first — type and message included.
     """
-    errors = [frag["error"] for frag in frags if frag.get("error")]
-    if not errors:
-        return
-    _unit, module, qualname, message = min(errors, key=lambda e: e[0])
-    raise rebuild_exception(module, qualname, message)
+    if errors:
+        _unit, module, qualname, message = min(errors, key=lambda e: e[0])
+        raise rebuild_exception(module, qualname, message)
 
 
 def _shard_main(conn, handler: Callable[[Any], Any]) -> None:
     """A shard worker's command loop: recv task, run handler, send result.
 
-    Handler-level failures are expected to be embedded in the handler's
-    own result (with unit attribution); this outer catch is the transport
-    backstop for bugs in the plumbing itself.
+    A failing handler's exception is the one place the typed transport
+    applies: it crosses the pipe as a :func:`describe_error` tuple tagged
+    with the handler's failing ``unit`` (0 for handlers that record none).
 
     Every ``ok`` result ships a ``(start_ns, end_ns)`` pair of local
     ``time.monotonic_ns()`` stamps bracketing the handler call.  Fork
@@ -200,12 +203,7 @@ def _shard_main(conn, handler: Callable[[Any], Any]) -> None:
                 result = ("ok", handler(task), (start_ns, monotonic_ns()))
             except BaseException as exc:
                 result = (
-                    "fail",
-                    (
-                        type(exc).__module__,
-                        type(exc).__qualname__,
-                        safe_message(exc),
-                    ),
+                    "fail", describe_error(getattr(handler, "unit", 0), exc)
                 )
             try:
                 conn.send(result)
@@ -215,7 +213,79 @@ def _shard_main(conn, handler: Callable[[Any], Any]) -> None:
         conn.close()
 
 
-class ForkShardPool:
+class InProcessShards:
+    """The in-process executor: steps shard handlers in this process.
+
+    Holds a single shard of every unit on the serial path; a degraded
+    :class:`ForkShardPool` steps its per-worker handlers through it too.
+    Nothing is forked, no fault injector or pool hook fires and no pool
+    trace event is emitted.  A failing handler's exception propagates as
+    the original object — with several shards, the one of the smallest
+    failing ``unit``, exactly as :func:`raise_shard_error` picks across
+    worker pipes.
+    """
+
+    def __init__(self, handlers: Sequence[Callable[[Any], Any]]) -> None:
+        if not handlers:
+            raise ValueError("pool needs at least one shard handler")
+        self._handlers = list(handlers)
+
+    def __enter__(self) -> "InProcessShards":
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        self.close()
+
+    @property
+    def shards(self) -> int:
+        """Shard count (stable across close/teardown)."""
+        return len(self._handlers)
+
+    def step(self, tasks: Sequence[Any]) -> list[Any]:
+        """Run one task per shard handler, in shard order."""
+        results: list[Any] = []
+        failures: list[tuple[int, Exception]] = []
+        for handler, task in zip(self._handlers, tasks):
+            try:
+                results.append(handler(task))
+            except Exception as exc:
+                failures.append((getattr(handler, "unit", 0), exc))
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return results
+
+    def step_all(self, task: Any) -> list[Any]:
+        """Broadcast one task to every shard (e.g. ``("start", None)``)."""
+        return self.step([task] * len(self._handlers))
+
+    def close(self) -> None:
+        """Nothing to shut down in-process."""
+
+
+def open_shards(
+    handlers: Sequence[Callable[[Any], Any]],
+    injector: Any = None,
+    recovery: Any = None,
+    tracer: Any = None,
+) -> InProcessShards:
+    """The executor for ``handlers``: a fork pool for several, else in-process.
+
+    Callers size their shard plan with :func:`shard_workers`, so a single
+    handler (the serial path) is all a fork-less platform ever asks for.
+    """
+    if len(handlers) > 1:
+        return ForkShardPool(
+            handlers, injector=injector, recovery=recovery, tracer=tracer
+        )
+    return InProcessShards(handlers)
+
+
+def shard_workers(workers: int) -> int:
+    """Workers a shard plan may use here: ``workers``, or 1 without fork."""
+    return workers if fork_available() else 1
+
+
+class ForkShardPool(InProcessShards):
     """A pool of persistent fork-inherited shard workers.
 
     ``handlers[i]`` is a callable (typically a closure over the instance's
@@ -242,8 +312,9 @@ class ForkShardPool:
     no shuffle is ever replayed: the ledger of a recovered run is
     byte-identical to a fault-free one.  After ``max_recoveries``
     crashes the pool restores checkpoint-plus-replay onto the
-    parent-side handlers and degrades to in-process serial execution,
-    surfacing a :class:`~repro.faults.recovery.DegradedExecutionWarning`.
+    parent-side handlers and degrades to the in-process executor it
+    extends, surfacing a
+    :class:`~repro.faults.recovery.DegradedExecutionWarning`.
 
     **Fault injection.**  An ``injector``
     (:class:`~repro.faults.inject.FaultInjector`) gets a
@@ -259,14 +330,12 @@ class ForkShardPool:
         recovery: Any = None,
         tracer: Any = None,
     ) -> None:
-        if not handlers:
-            raise ValueError("pool needs at least one shard handler")
+        super().__init__(handlers)
         if not fork_available():  # pragma: no cover - platform-specific
             raise RuntimeError(
                 "ForkShardPool requires the 'fork' start method; callers "
                 "must fall back to serial execution on this platform"
             )
-        self._handlers = list(handlers)
         self._injector = injector
         self._recovery = recovery
         #: Optional :class:`repro.trace.TraceRecorder`: barrier windows on
@@ -295,19 +364,8 @@ class ForkShardPool:
             self.close()
             raise
 
-    def __enter__(self) -> "ForkShardPool":
-        return self
-
-    def __exit__(self, *_exc_info: Any) -> None:
-        self.close()
-
     def __len__(self) -> int:
         return len(self._procs)
-
-    @property
-    def shards(self) -> int:
-        """Shard count (stable across close/teardown, unlike ``len``)."""
-        return len(self._handlers)
 
     @property
     def degraded(self) -> bool:
@@ -385,7 +443,7 @@ class ForkShardPool:
                 ) from exc
         results: list[Any] = []
         stamps: list[tuple[int, int] | None] = [None] * len(self._conns)
-        failure: tuple[str, str, str] | None = None
+        failures: list[tuple[int, str, str, str]] = []
         for index, conn in enumerate(self._conns):
             try:
                 message = conn.recv()
@@ -396,14 +454,12 @@ class ForkShardPool:
             status, value = message[0], message[1]
             if status == "fail":
                 # Keep draining the remaining pipes so the pool stays
-                # usable for shutdown, then raise the first failure.
-                if failure is None:
-                    failure = value
+                # usable for shutdown, then raise the smallest unit's.
+                failures.append(value)
                 continue
             results.append(value)
             stamps[index] = message[2] if len(message) > 2 else None
-        if failure is not None:
-            raise rebuild_exception(*failure)
+        raise_shard_error(failures)
         if tracer is not None:
             barrier_end = tracer.now_ns()
             label = trace_label or _task_kind(tasks) or "barrier"
@@ -485,7 +541,7 @@ class ForkShardPool:
             )
 
     def _degrade(self) -> None:
-        """Fall back to in-process serial execution of the handlers."""
+        """Fall back to the in-process executor over the same handlers."""
         self._degraded = True
         if self._tracer is not None:
             self._tracer.instant(
@@ -493,11 +549,9 @@ class ForkShardPool:
                 recoveries=self._recoveries - 1,
             )
         if self._checkpoints is not None:
-            for handler, blob in zip(self._handlers, self._checkpoints):
-                handler(("restore", blob))
+            super().step([("restore", blob) for blob in self._checkpoints])
         for tasks in self._history:
-            for handler, task in zip(self._handlers, tasks):
-                handler(task)
+            super().step(tasks)
         self._history = []
         if self._injector is not None:
             self._injector.note_degraded()
@@ -527,10 +581,7 @@ class ForkShardPool:
         self._step_index += 1
         while True:
             if self._degraded:
-                return [
-                    handler(task)
-                    for handler, task in zip(self._handlers, tasks)
-                ]
+                return super().step(tasks)
             try:
                 if not self._procs:
                     self._respawn()
@@ -556,10 +607,6 @@ class ForkShardPool:
                     self._injector.note_recovery()
                 if self._recoveries > self._recovery.max_recoveries:
                     self._degrade()
-
-    def step_all(self, task: Any) -> list[Any]:
-        """Broadcast one task to every shard (e.g. ``("start", None)``)."""
-        return self.step([task] * len(self._handlers))
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""
@@ -612,12 +659,12 @@ class ProgramShard:
     Owns the programs of its machine ids (ascending) and advances them one
     task at a time: ``("start", None)`` runs every ``on_start``;
     ``("round", {mid: inbox})`` runs every live program's ``on_round``.
-    Returns outboxes (materialized — generators cannot cross a pipe),
-    newly finished ``(mid, output)`` pairs, and at most one typed error.
-    The final ``("finalize", None)`` ships the shard's program objects
-    back so the parent can mirror their post-run state (a serial run
-    mutates the caller's objects in place; the parallel path must look
-    the same to callers that read program attributes afterwards).
+    Returns outboxes (materialized — generators cannot cross a pipe) and
+    newly finished ``(mid, output)`` pairs; a failing program's machine id
+    is left in ``unit`` and its exception re-raised.  The final
+    ``("finalize", None)`` returns the shard's program objects so the
+    parent can mirror the post-run state of programs a worker advanced
+    (in-process they are the caller's own objects already).
 
     ``("checkpoint", None)`` snapshots the shard's mutable state — per
     program only ``machine.stored_words`` plus the program ``__dict__``
@@ -655,34 +702,33 @@ class ProgramShard:
                 del prog.__dict__[key]
             prog.__dict__.update(state)
 
-    def __call__(self, task: Any) -> dict[str, Any]:
+    def __call__(self, task: Any) -> Any:
         kind, inboxes = task
         if kind == "checkpoint":
             return self._checkpoint()
         if kind == "restore":
             self._restore(inboxes)
-            return {"restored": len(self._programs), "error": None}
+            return len(self._programs)
         if kind == "finalize":
-            return {"programs": list(self._programs), "error": None}
+            return self._programs
         sent: list[tuple[int, list[Any]]] = []
         finished: list[tuple[int, Any]] = []
-        error: tuple[int, str, str, str] | None = None
         for mid, prog in self._programs:
             if kind != "start" and prog.done:
                 continue
             try:
-                # "start" runs unconditionally, exactly like the serial
-                # list comprehension over every program.
+                # "start" runs unconditionally, like a loop over every
+                # program's on_start.
                 if kind == "start":
                     outbox = prog.on_start()
                 else:
                     outbox = prog.on_round(inboxes.get(mid, []))
                 outbox = None if outbox is None else list(outbox)
-            except Exception as exc:
-                error = describe_error(mid, exc)
-                break
+            except Exception:
+                self.unit = mid
+                raise
             if outbox:
                 sent.append((mid, outbox))
             if prog.done:
                 finished.append((mid, prog.output))
-        return {"outboxes": sent, "finished": finished, "error": error}
+        return {"outboxes": sent, "finished": finished}

@@ -16,7 +16,8 @@ O(S) per-round I/O bound against every machine's
 The CONGEST round-compiler (:mod:`repro.mpc.compile_congest`) drives the
 shuffle directly — one CONGEST round per shuffle — while native MPC
 workloads (:mod:`repro.mpc.matching`) run whole programs through
-:meth:`MPCRuntime.run`.
+:meth:`MPCRuntime.run`, whose one round loop steps the programs through a
+serial or process-parallel shard executor (:mod:`repro.mpc.parallel`).
 """
 
 from __future__ import annotations
@@ -323,17 +324,21 @@ class MPCRuntime:
         Mirrors the CONGEST reference engine's structure: ``on_start``
         produces the first shuffle's messages, then every live program is
         invoked each round with its delivered inbox; a program may return
-        a final outbox in the round it finishes (still delivered).  Raises
-        :class:`~repro.congest.errors.RoundLimitError` when the programs
-        do not terminate within ``max_rounds``.
+        a final outbox in the round it finishes, and the outboxes left
+        when every program is done cross one last metered ``active=0``
+        shuffle.  Raises :class:`~repro.congest.errors.RoundLimitError`
+        when the programs do not terminate within ``max_rounds``.
 
-        ``workers`` > 1 executes the per-machine local computation on a
-        pool of forked shard workers (:mod:`repro.mpc.parallel`), with
-        every shuffle still a parent-side barrier — the shuffle ledger,
-        stats, outputs and raised errors are identical to the serial path
-        at any worker count.  ``None`` resolves the count from the
-        ``REPRO_MPC_WORKERS`` environment override (default 1); platforms
-        without the ``fork`` start method always take the serial path.
+        There is one loop and two executors (:mod:`repro.mpc.parallel`):
+        the programs are split into :class:`~repro.mpc.parallel.ProgramShard`
+        handlers stepped between shuffles either in-process (one shard of
+        every machine) or, with ``workers`` > 1 where ``fork`` is
+        available, on a pool of forked shard workers.  Every shuffle is a
+        parent-side barrier, so the shuffle ledger, stats, outputs and
+        raised errors are identical at any worker count, and the caller's
+        program objects end in the same post-run state.  ``None``
+        resolves the count from the ``REPRO_MPC_WORKERS`` environment
+        override (default 1).
         """
         if len(programs) != self.num_machines:
             raise ValueError(
@@ -343,77 +348,29 @@ class MPCRuntime:
             max_rounds = DEFAULT_MAX_ROUNDS
         from repro.mpc import parallel as _parallel
 
-        effective = min(_parallel.resolve_workers(workers), len(programs))
-        if effective > 1 and _parallel.fork_available():
-            return self._run_parallel(programs, max_rounds, effective)
-        trace_start = len(self.trace)
-        rounds_before = self.stats.rounds
-        outboxes: list[Any] = [prog.on_start() for prog in programs]
-        while not all(prog.done for prog in programs):
-            if self.stats.rounds - rounds_before >= max_rounds:
-                alive = sum(1 for prog in programs if not prog.done)
-                raise RoundLimitError(
-                    f"no termination within {max_rounds} shuffle rounds "
-                    f"({alive} machines alive)"
-                )
-            live = sum(1 for prog in programs if not prog.done)
-            inboxes = self.shuffle(outboxes, active=live)
-            outboxes = [None] * self.num_machines
-            for mid, prog in enumerate(programs):
-                if prog.done:
-                    continue
-                outboxes[mid] = prog.on_round(inboxes[mid])
-        # Final outboxes returned in the round every program finished (or
-        # straight from on_start) must still cross one metered shuffle —
-        # the loop above only shuffles while someone is live.
-        if any(outboxes):
-            self.shuffle(outboxes, active=0)
-        return self._finish_run(programs, trace_start)
-
-    def _run_parallel(
-        self,
-        programs: Sequence[MachineProgram],
-        max_rounds: int,
-        workers: int,
-    ) -> MPCRunResult:
-        """The machine-parallel twin of :meth:`run`'s serial loop.
-
-        Programs execute on forked shard workers; the parent keeps the
-        done-set, shuffles every round's outboxes through its own metered
-        :meth:`shuffle` (so budget violations on the shuffle raise here,
-        identically to serial), and re-raises worker-side typed errors —
-        smallest machine id first, the order the serial loop fails in.
-        After the run the workers' final program objects are mirrored back
-        onto the caller's, storage accounting included, so post-run reads
-        (e.g. a coordinator's phase counter) see serial-identical state.
-        """
-        from repro.mpc import parallel as _parallel
-
         m = self.num_machines
-        shards = _parallel.plan_shards(m, workers)
-        handlers = [
-            _parallel.ProgramShard(programs, shard) for shard in shards
-        ]
+        shards = _parallel.plan_shards(
+            m, _parallel.shard_workers(_parallel.resolve_workers(workers))
+        )
+        handlers = [_parallel.ProgramShard(programs, shard) for shard in shards]
         trace_start = len(self.trace)
         rounds_before = self.stats.rounds
         done: set[int] = set()
         outboxes: list[Any] = [None] * m
 
         def absorb(frags: list[dict[str, Any]]) -> None:
-            _parallel.raise_shard_error(frags)
             for frag in frags:
                 for mid, outbox in frag["outboxes"]:
                     outboxes[mid] = outbox
-                for mid, _output in frag["finished"]:
-                    done.add(mid)
+                done.update(mid for mid, _output in frag["finished"])
 
-        with _parallel.ForkShardPool(
+        with _parallel.open_shards(
             handlers,
             injector=self.fault_injector,
             recovery=self.recovery,
             tracer=self.tracer,
-        ) as pool:
-            absorb(pool.step_all(("start", None)))
+        ) as executor:
+            absorb(executor.step_all(("start", None)))
             while len(done) < m:
                 if self.stats.rounds - rounds_before >= max_rounds:
                     raise RoundLimitError(
@@ -434,16 +391,18 @@ class MPCRuntime:
                     )
                     for shard in shards
                 ]
-                absorb(pool.step(tasks))
+                absorb(executor.step(tasks))
             if any(outboxes):
                 self.shuffle(outboxes, active=0)
-            for frag in pool.step_all(("finalize", None)):
-                for mid, worker_prog in frag["programs"]:
+            # Mirror worker-advanced programs back onto the caller's
+            # objects (a no-op in-process, where they are the same).
+            for shard_programs in executor.step_all(("finalize", None)):
+                for mid, shard_prog in shard_programs:
                     prog = programs[mid]
                     machine = prog.machine
-                    machine.stored_words = worker_prog.machine.stored_words
-                    worker_prog.machine = machine
-                    prog.__dict__.update(worker_prog.__dict__)
+                    machine.stored_words = shard_prog.machine.stored_words
+                    shard_prog.machine = machine
+                    prog.__dict__.update(shard_prog.__dict__)
         return self._finish_run(programs, trace_start)
 
     def _finish_run(

@@ -24,6 +24,24 @@ class TestParser:
             build_parser().parse_args(["mvc", "--model", "quantum"])
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mvc", "--eps", "0"],
+            ["mvc", "--n", "0"],
+            ["mds", "--n", "0"],
+            ["mvc", "--model", "mpc", "--alpha", "0.5", "--n", "3"],
+        ],
+    )
+    def test_bad_parameters_print_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestMvcCommand:
     @pytest.mark.parametrize(
         "model", ["congest", "clique-det", "clique-rand", "centralized"]

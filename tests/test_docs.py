@@ -10,7 +10,10 @@ subcommand, flag, grid or experiment without documenting it fails here.
 from __future__ import annotations
 
 import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.registry import RULES
 from repro.cli import build_parser
@@ -123,3 +126,21 @@ class TestAnalysisGateRegistered:
             assert rule_id in text, (
                 f"rule {rule_id} is not documented in DESIGN.md"
             )
+
+
+class TestRepositoryHygiene:
+    def test_no_compiled_python_is_tracked(self):
+        try:
+            listing = subprocess.run(
+                ["git", "ls-files"], cwd=REPO, capture_output=True,
+                text=True, timeout=60,
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if listing.returncode != 0:
+            pytest.skip("not a git checkout")
+        tracked = [
+            path for path in listing.stdout.splitlines()
+            if path.endswith(".pyc")
+        ]
+        assert not tracked, f"compiled Python is tracked: {tracked[:5]}"

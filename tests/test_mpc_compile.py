@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.network import CongestNetwork
 from repro.core.estimation import EstimationStage
 from repro.core.mds_congest import GlobalOrAlgorithm, WinnerAlgorithm
@@ -226,3 +227,61 @@ class TestSweepCapture:
         assert mpc_payload["signature"] == congest_payload["signature"]
         assert mpc_payload["stats"] == congest_payload["stats"]
         assert mpc_payload["mpc"]["parity"] is True
+
+
+class _TwoArgError(Exception):
+    """A model-level error whose constructor takes two arguments."""
+
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(code, detail)
+
+
+class _RaisingAlgorithm(NodeAlgorithm):
+    """Node 3 raises in round 2; every other node finishes in round 3."""
+
+    def on_start(self):
+        self.rounds = 0
+        return self.broadcast(0)
+
+    def on_round(self, inbox):
+        self.rounds += 1
+        if self.node.id == 3 and self.rounds == 2:
+            raise _TwoArgError(7, "node three gave up")
+        if self.rounds == 3:
+            self.finish(None)
+        return self.broadcast(self.rounds)
+
+
+class TestSerialExceptionIdentity:
+    """A serial run surfaces the algorithm's own exception object.
+
+    The typed transport (``describe_error``/``rebuild_exception``)
+    applies only across a worker pipe; in-process nothing is rebuilt, so
+    an exception class whose constructor takes two arguments keeps its
+    class, its arguments and its ``on_round`` frame.
+    """
+
+    @pytest.mark.parametrize("compress", [1, 2])
+    def test_original_exception_propagates(self, compress):
+        net = MPCCongestNetwork(
+            gnp_graph(12, 0.4, seed=1), alpha=0.9, compress=compress,
+            workers=1,
+        )
+        with pytest.raises(_TwoArgError) as excinfo:
+            net.run(_RaisingAlgorithm)
+        assert type(excinfo.value) is _TwoArgError
+        assert excinfo.value.args == (7, "node three gave up")
+        assert any(entry.name == "on_round" for entry in excinfo.traceback)
+
+    def test_serial_run_forks_nothing(self, monkeypatch):
+        from repro.mpc import parallel
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a serial run built a fork pool")
+
+        monkeypatch.setattr(parallel.ForkShardPool, "__init__", no_pool)
+        result, _payload = solve_mvc_mpc(
+            gnp_graph(14, 0.3, seed=2), 0.5, alpha=0.9, compress="auto",
+            workers=1,
+        )
+        assert result.cover

@@ -186,16 +186,15 @@ class TestErrorTransport:
         assert "boom" in str(rebuilt)
 
     def test_raise_shard_error_picks_smallest_unit(self):
-        frags = [
-            {"error": describe_error(5, ValueError("late"))},
-            {"error": None},
-            {"error": describe_error(1, MemoryBudgetExceeded("first"))},
+        errors = [
+            describe_error(5, ValueError("late")),
+            describe_error(1, MemoryBudgetExceeded("first")),
         ]
         with pytest.raises(MemoryBudgetExceeded, match="first"):
-            raise_shard_error(frags)
+            raise_shard_error(errors)
 
     def test_no_error_is_a_no_op(self):
-        raise_shard_error([{"error": None}, {"error": None}])
+        raise_shard_error([])
 
 
 class TestForkShardPool:

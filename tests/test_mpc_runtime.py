@@ -282,3 +282,48 @@ class TestRuntime:
         assert summed.rounds == 6
         assert summed.congest_rounds == 12
         assert summed.word_bits == 5
+
+
+class _TwoArgError(Exception):
+    """A model-level error whose constructor takes two arguments."""
+
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(code, detail)
+
+
+class _FailingProgram(MachineProgram):
+    """Machine 1 raises in its first round; the others finish."""
+
+    def on_start(self):
+        return None
+
+    def on_round(self, inbox):
+        if self.machine.machine_id == 1:
+            raise _TwoArgError(3, "machine one gave up")
+        self.finish(None)
+        return None
+
+
+class TestSerialExceptionIdentity:
+    def test_original_exception_propagates(self):
+        machines = [Machine(i, 100) for i in range(3)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        with pytest.raises(_TwoArgError) as excinfo:
+            runtime.run([_FailingProgram(m) for m in machines], workers=1)
+        assert type(excinfo.value) is _TwoArgError
+        assert excinfo.value.args == (3, "machine one gave up")
+        assert any(entry.name == "on_round" for entry in excinfo.traceback)
+
+    def test_serial_run_forks_nothing(self, monkeypatch):
+        from repro.mpc import parallel
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a serial run built a fork pool")
+
+        monkeypatch.setattr(parallel.ForkShardPool, "__init__", no_pool)
+        machines = [Machine(i, 100) for i in range(3)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        result = runtime.run(
+            [_Echo(m, m.machine_id * 10) for m in machines], workers=1
+        )
+        assert result.outputs[0] == [(1, 10), (2, 20)]

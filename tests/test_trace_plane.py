@@ -176,6 +176,26 @@ class TestMpcSpans:
         # main + one track per shard worker.
         assert summary["tracks"] == 3
 
+    def test_traced_serial_run_has_one_track_and_no_pool(self):
+        graph = nx.gnp_random_graph(18, 0.3, seed=7)
+        rec = TraceRecorder()
+        solve_mvc_mpc(
+            graph, 0.5, alpha=0.9, seed=0, compress=2, workers=1, tracer=rec,
+        )
+        document = rec.to_json()
+        summary = validate_trace(document)
+        names = set(summary["names"])
+        stages = {
+            event["name"]
+            for event in document["traceEvents"]
+            if event.get("cat") == "stage"
+        }
+        assert {"phase1", "bfs", "upcast", "broadcast"} <= stages
+        assert {"shuffle", "window", "congest.round"} <= names
+        # The in-process executor forks nothing and opens no barrier.
+        assert not names & {"barrier", "worker.fork"}
+        assert summary["tracks"] == 1
+
 
 class TestObserverContract:
     """Tracing must never perturb deterministic state, on either backend."""
