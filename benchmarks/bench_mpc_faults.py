@@ -36,6 +36,7 @@ from _common import print_table
 
 import networkx as nx
 
+from repro.config import RunConfig
 from repro.mpc import mpc_maximal_matching, solve_mds_mpc, solve_mvc_mpc
 from repro.mpc.parallel import fork_available
 
@@ -62,7 +63,9 @@ def _mvc_scenario(n: int, p: float, alpha: float, crash_spec: str):
 
     def run(workers: int, faults: str | None):
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=alpha, seed=0, workers=workers, faults=faults
+            graph, 0.5,
+            RunConfig("mpc", alpha=alpha, workers=workers, faults=faults),
+            seed=0,
         )
         return {
             "mpc": _strip_faults(payload),
@@ -78,7 +81,9 @@ def _mds_scenario(n: int, p: float, alpha: float, crash_spec: str):
 
     def run(workers: int, faults: str | None):
         result, payload = solve_mds_mpc(
-            graph, alpha=alpha, seed=1, workers=workers, faults=faults
+            graph,
+            RunConfig("mpc", alpha=alpha, workers=workers, faults=faults),
+            seed=1,
         )
         return {
             "mpc": _strip_faults(payload),

@@ -43,6 +43,7 @@ from _common import print_table
 
 import networkx as nx
 
+from repro.config import RunConfig
 from repro.mpc import mpc_maximal_matching, solve_mds_mpc, solve_mvc_mpc
 from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.sweep import named_grid, run_sweep
@@ -64,8 +65,9 @@ def _mvc_scenario(n: int, p: float, alpha: float, compress):
 
     def run(workers: int):
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=alpha, seed=0, compress=compress,
-            workers=workers,
+            graph, 0.5,
+            RunConfig("mpc", alpha=alpha, compress=compress, workers=workers),
+            seed=0,
         )
         return {
             "mpc": payload,
@@ -81,7 +83,9 @@ def _mds_scenario(n: int, p: float, alpha: float, compress):
 
     def run(workers: int):
         result, payload = solve_mds_mpc(
-            graph, alpha=alpha, seed=1, compress=compress, workers=workers
+            graph,
+            RunConfig("mpc", alpha=alpha, compress=compress, workers=workers),
+            seed=1,
         )
         return {
             "mpc": payload,

@@ -20,17 +20,22 @@ Commands
     (``--task``/``--graphs``/``--ns``/...) — serially or over a process
     pool (``--jobs``), printing a merged table and optionally writing
     machine-readable JSON.
+
+Run options are validated once, by :class:`repro.config.RunConfig`; a
+usage error on any command prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro.config import MODELS, RunConfig, require_mpc
 from repro.core.mds_congest import approx_mds_square
 from repro.core.mvc_centralized import five_thirds_mvc_square
 from repro.core.mvc_clique import (
@@ -73,19 +78,8 @@ def _last_error_line(result) -> str:
     return lines[-1] if lines else result.status
 
 
-def _reject_engine_for_mpc(args: argparse.Namespace) -> bool:
-    """Whether --engine was (illegally) combined with --model mpc."""
-    if args.engine is None:
-        return False
-    print(
-        "error: --engine selects a CONGEST engine; the mpc model "
-        "has its own runtime (tune --alpha instead)",
-        file=sys.stderr,
-    )
-    return True
-
-
-def _print_mpc_ledger(payload: dict, workers: int = 1) -> None:
+def _print_mpc_ledger(payload: dict, workers: int) -> None:
+    """The MPC ledger line, then the fault report line if faults ran."""
     shuffle = payload["shuffle"]
     line = (
         f"mpc: machines={payload['machines']} S={payload['budget_words']} "
@@ -111,6 +105,7 @@ def _print_mpc_ledger(payload: dict, workers: int = 1) -> None:
         )
         line += f"  auto[{choices or 'no windows'} skips={auto['skips']}]"
     print(line)
+    _print_fault_report(payload)
 
 
 def _compress_value(text: str):
@@ -124,69 +119,6 @@ def _compress_value(text: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1 or 'auto', got {text!r}"
         ) from None
-
-
-def _check_compress(args: argparse.Namespace) -> int | None:
-    """Validate --compress/-k; returns an exit code on error, else None."""
-    if args.compress != "auto" and args.compress < 1:
-        print(
-            f"error: --compress must be >= 1, got {args.compress}",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.compress == "auto" or args.compress > 1
-    ) and args.model != "mpc":
-        print(
-            "error: --compress batches CONGEST rounds per MPC shuffle; it "
-            "requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
-def _check_mpc_workers(args: argparse.Namespace) -> int | None:
-    """Validate --mpc-workers; returns an exit code on error, else None."""
-    workers = getattr(args, "mpc_workers", None)
-    if workers is None:
-        return None
-    if workers < 1:
-        print(
-            f"error: --mpc-workers must be >= 1, got {workers}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.model != "mpc":
-        print(
-            "error: --mpc-workers shards MPC machines over worker "
-            "processes; it requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
-def _check_faults(args: argparse.Namespace) -> int | None:
-    """Validate --faults; returns an exit code on error, else None."""
-    faults = getattr(args, "faults", None)
-    if faults is None:
-        return None
-    if args.model != "mpc":
-        print(
-            "error: --faults injects crashes into the MPC shard pool and "
-            "shuffle plane; it requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.faults import FaultPlan
-
-    try:
-        FaultPlan.from_spec(faults, seed=getattr(args, "seed", 0))
-    except ValueError as exc:
-        print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-        return 2
-    return None
 
 
 def _print_fault_report(payload: dict) -> None:
@@ -205,36 +137,35 @@ def _print_fault_report(payload: dict) -> None:
     print(line)
 
 
-def _resolved_mpc_workers(args: argparse.Namespace) -> int:
-    """The worker count a run will use (explicit flag, else env, else 1)."""
-    from repro.mpc.parallel import resolve_workers
-
-    try:
-        return resolve_workers(getattr(args, "mpc_workers", None))
-    except ValueError:
-        return 1
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The validated run options of an ``mvc``/``mds`` invocation."""
+    return RunConfig(
+        args.model,
+        engine=args.engine,
+        alpha=args.alpha,
+        compress=args.compress,
+        workers=args.mpc_workers,
+        faults=args.faults,
+    )
 
 
 def _make_collector(args: argparse.Namespace, command: str):
-    """Build the --metrics collector, or an exit code on a bad combination.
+    """The --metrics collector, or ``None`` when it was not requested.
 
-    Returns ``(collector, None)`` — collector ``None`` when --metrics was
-    not requested — or ``(None, 2)`` for models whose instrumentation
-    streams the collector cannot observe.
+    Models whose instrumentation streams the collector cannot observe
+    are a usage error.
     """
     if args.metrics is None:
-        return None, None
+        return None
     if args.model not in ("congest", "mpc"):
-        print(
-            "error: --metrics attaches to the CONGEST/MPC instrumentation "
-            "streams; it requires --model congest or --model mpc",
-            file=sys.stderr,
+        raise ValueError(
+            "--metrics attaches to the CONGEST/MPC instrumentation "
+            "streams; it requires --model congest or --model mpc"
         )
-        return None, 2
     from repro.metrics import MetricsCollector
 
     label = f"{command}/{args.graph}/n={args.n}/seed={args.seed}"
-    return MetricsCollector(label=label), None
+    return MetricsCollector(label=label)
 
 
 def _write_metrics(collector, path: str) -> None:
@@ -246,24 +177,21 @@ def _write_metrics(collector, path: str) -> None:
 
 
 def _make_tracer(args: argparse.Namespace):
-    """Build the --trace recorder, or an exit code on a bad combination.
+    """The --trace recorder, or ``None`` when it was not requested.
 
-    Returns ``(recorder, None)`` — recorder ``None`` when --trace was not
-    requested — or ``(None, 2)`` for models without tracer hook points.
-    Only checked where a --model exists; sweep/verify always accept it.
+    Models without tracer hook points are a usage error.  Only checked
+    where a --model exists; sweep/verify always accept it.
     """
     if getattr(args, "trace", None) is None:
-        return None, None
+        return None
     if getattr(args, "model", None) not in (None, "congest", "mpc"):
-        print(
-            "error: --trace records the CONGEST/MPC execution timeline; "
-            "it requires --model congest or --model mpc",
-            file=sys.stderr,
+        raise ValueError(
+            "--trace records the CONGEST/MPC execution timeline; it "
+            "requires --model congest or --model mpc"
         )
-        return None, 2
     from repro.trace import TraceRecorder
 
-    return TraceRecorder(), None
+    return TraceRecorder()
 
 
 def _write_trace(recorder, path: str) -> None:
@@ -274,70 +202,47 @@ def _write_trace(recorder, path: str) -> None:
     )
 
 
+def _write_observers(args: argparse.Namespace, collector, tracer) -> None:
+    if collector is not None:
+        _write_metrics(collector, args.metrics)
+    if tracer is not None:
+        _write_trace(tracer, args.trace)
+
+
+#: The MVC solver of each non-MPC distributed model.
+_MVC_SOLVERS = {
+    "congest": approx_mvc_square,
+    "clique-det": approx_mvc_square_clique_deterministic,
+    "clique-rand": approx_mvc_square_clique_randomized,
+}
+
+
 def _cmd_mvc(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is None:
-        code = _check_faults(args)
-    if code is not None:
-        return code
-    collector, code = _make_collector(args, "mvc")
-    if code is not None:
-        return code
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    config = _run_config(args)
+    collector = _make_collector(args, "mvc")
+    tracer = _make_tracer(args)
     graph = build_graph(args.graph, args.n, seed=args.seed)
     sq = square(graph)
-    if args.model == "congest":
-        if collector is not None or tracer is not None:
-            from repro.congest.network import CongestNetwork
-
-            network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
-            if collector is not None:
-                collector.attach(network)
-            if tracer is not None:
-                network.tracer = tracer
-            result = approx_mvc_square(graph, args.eps, network=network)
-        else:
-            result = approx_mvc_square(
-                graph, args.eps, seed=args.seed, engine=args.engine
-            )
-        cover, rounds = result.cover, result.stats.rounds
-    elif args.model == "mpc":
-        if _reject_engine_for_mpc(args):
-            return 2
-        from repro.mpc.compile_congest import solve_mvc_mpc
-
-        result, mpc_payload = solve_mvc_mpc(
-            graph, args.eps, alpha=args.alpha, seed=args.seed,
-            check_parity=True, compress=args.compress, collector=collector,
-            workers=args.mpc_workers, faults=args.faults, tracer=tracer,
-        )
-        cover, rounds = result.cover, result.stats.rounds
-        _print_mpc_ledger(mpc_payload, workers=_resolved_mpc_workers(args))
-        _print_fault_report(mpc_payload)
-    elif args.model == "clique-det":
-        result = approx_mvc_square_clique_deterministic(
-            graph, args.eps, seed=args.seed, engine=args.engine
-        )
-        cover, rounds = result.cover, result.stats.rounds
-    elif args.model == "clique-rand":
-        result = approx_mvc_square_clique_randomized(
-            graph, args.eps, seed=args.seed, engine=args.engine
-        )
-        cover, rounds = result.cover, result.stats.rounds
-    else:  # centralized
-        if args.engine is not None:
-            print(
-                "error: --engine applies only to distributed models "
-                "(congest, clique-det, clique-rand)",
-                file=sys.stderr,
-            )
-            return 2
+    if config.model == "centralized":
         cover, _ = five_thirds_mvc_square(graph)
         rounds = 0
+    else:
+        if config.model == "mpc":
+            from repro.mpc.compile_congest import solve_mvc_mpc
+
+            result, mpc_payload = solve_mvc_mpc(
+                graph, args.eps, config, seed=args.seed, check_parity=True,
+                collector=collector, tracer=tracer,
+            )
+            _print_mpc_ledger(mpc_payload, config.workers)
+        else:
+            network = config.network(
+                graph, args.seed, collector=collector, tracer=tracer
+            )
+            result = _MVC_SOLVERS[config.model](
+                graph, args.eps, network=network, seed=args.seed
+            )
+        cover, rounds = result.cover, result.stats.rounds
     assert_vertex_cover(sq, cover)
     print(f"graph: {args.graph} n={graph.number_of_nodes()} "
           f"m={graph.number_of_edges()} (square m={sq.number_of_edges()})")
@@ -345,52 +250,29 @@ def _cmd_mvc(args: argparse.Namespace) -> int:
     if args.exact:
         opt = len(minimum_vertex_cover(sq))
         print(f"exact optimum: {opt}  ratio: {len(cover) / opt:.3f}")
-    if collector is not None:
-        _write_metrics(collector, args.metrics)
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _write_observers(args, collector, tracer)
     return 0
 
 
 def _cmd_mds(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is None:
-        code = _check_faults(args)
-    if code is not None:
-        return code
-    collector, code = _make_collector(args, "mds")
-    if code is not None:
-        return code
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    config = _run_config(args)
+    collector = _make_collector(args, "mds")
+    tracer = _make_tracer(args)
     graph = build_graph(args.graph, args.n, seed=args.seed)
     sq = square(graph)
-    if args.model == "mpc":
-        if _reject_engine_for_mpc(args):
-            return 2
+    if config.model == "mpc":
         from repro.mpc.compile_congest import solve_mds_mpc
 
         result, mpc_payload = solve_mds_mpc(
-            graph, alpha=args.alpha, seed=args.seed, check_parity=True,
-            compress=args.compress, collector=collector,
-            workers=args.mpc_workers, faults=args.faults, tracer=tracer,
+            graph, config, seed=args.seed, check_parity=True,
+            collector=collector, tracer=tracer,
         )
-        _print_mpc_ledger(mpc_payload, workers=_resolved_mpc_workers(args))
-        _print_fault_report(mpc_payload)
-    elif collector is not None or tracer is not None:
-        from repro.congest.network import CongestNetwork
-
-        network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
-        if collector is not None:
-            collector.attach(network)
-        if tracer is not None:
-            network.tracer = tracer
-        result = approx_mds_square(graph, network=network)
+        _print_mpc_ledger(mpc_payload, config.workers)
     else:
-        result = approx_mds_square(graph, seed=args.seed, engine=args.engine)
+        network = config.network(
+            graph, args.seed, collector=collector, tracer=tracer
+        )
+        result = approx_mds_square(graph, network=network)
     assert_dominating_set(sq, result.cover)
     print(f"graph: {args.graph} n={graph.number_of_nodes()} "
           f"m={graph.number_of_edges()}")
@@ -399,10 +281,7 @@ def _cmd_mds(args: argparse.Namespace) -> int:
     if args.exact:
         opt = len(minimum_dominating_set(sq))
         print(f"exact optimum: {opt}  ratio: {len(result.cover) / opt:.3f}")
-    if collector is not None:
-        _write_metrics(collector, args.metrics)
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _write_observers(args, collector, tracer)
     return 0
 
 
@@ -460,47 +339,42 @@ def _mpc_verify_grid(
     return GridSpec(name="verify-mpc", cells=cells)
 
 
-def _cmd_verify_mpc(args: argparse.Namespace) -> int:
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
-    grid = _mpc_verify_grid(
-        args.n, args.alpha, args.samples, compress=args.compress,
+def _cmd_verify(args: argparse.Namespace) -> int:
+    # Validation only: the parity cells carry the raw options, so an unset
+    # --mpc-workers still resolves REPRO_MPC_WORKERS inside each cell.
+    RunConfig(
+        args.model, alpha=args.alpha, compress=args.compress,
         workers=args.mpc_workers,
     )
-    sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
-    failures = 0
-    for result in sweep:
-        if not result.ok:
-            failures += 1
-            print(f"seed={result.cell.seed}: {result.status} "
-                  f"({_last_error_line(result)})")
-            continue
-        payload = result.payload or {}
-        print(f"seed={result.cell.seed}: stages={payload['stages']} "
-              f"rounds={payload['congest_rounds']} "
-              f"matching={payload['matching_size']} "
-              f"(oracle {payload['oracle_size']}) "
-              f"machines={payload['mpc']['machines']} -> ok")
-    print(f"{args.samples - failures}/{args.samples} round-compilation "
-          f"parity samples verified (alpha={args.alpha:g}, n={args.n})")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
-    return 1 if failures else 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is not None:
-        return code
+    tracer = _make_tracer(args)
     if args.model == "mpc":
-        return _cmd_verify_mpc(args)
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
-    grid = _verify_grid(args.family, args.k, args.samples)
+        grid = _mpc_verify_grid(
+            args.n, args.alpha, args.samples, compress=args.compress,
+            workers=args.mpc_workers,
+        )
+        summary = (
+            f"round-compilation parity samples verified "
+            f"(alpha={args.alpha:g}, n={args.n})"
+        )
+
+        def describe(payload: dict) -> str:
+            return (
+                f"stages={payload['stages']} "
+                f"rounds={payload['congest_rounds']} "
+                f"matching={payload['matching_size']} "
+                f"(oracle {payload['oracle_size']}) "
+                f"machines={payload['mpc']['machines']}"
+            )
+    else:
+        grid = _verify_grid(args.family, args.k, args.samples)
+        summary = "instances verified"
+
+        def describe(payload: dict) -> str:
+            return (
+                f"optimum={payload['value']} "
+                f"threshold={payload['threshold']} "
+                f"intersecting={payload['intersecting']}"
+            )
     sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
     failures = 0
     for result in sweep:
@@ -509,15 +383,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"seed={result.cell.seed}: {result.status} "
                   f"({_last_error_line(result)})")
             continue
-        payload = result.payload or {}
-        ok = payload["ok"]
+        ok = result.payload["ok"]
         if not ok:
             failures += 1
-        print(f"seed={result.cell.seed}: optimum={payload['value']} "
-              f"threshold={payload['threshold']} "
-              f"intersecting={payload['intersecting']} "
+        print(f"seed={result.cell.seed}: {describe(result.payload)} "
               f"-> {'ok' if ok else 'FAIL'}")
-    print(f"{args.samples - failures}/{args.samples} instances verified")
+    print(f"{args.samples - failures}/{args.samples} {summary}")
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 1 if failures else 0
@@ -527,14 +398,14 @@ def _parse_list(text: str, convert):
     return tuple(convert(part) for part in text.split(",") if part)
 
 
-def _parse_axis(text, flag, convert, type_name, valid, constraint):
-    """Parse one comma-separated sweep axis: convert, validate, dedupe.
+def _parse_axis(text, flag, convert, type_name):
+    """Parse one comma-separated sweep axis: convert and dedupe.
 
     A repeated axis value (``--alphas 0.8,0.8`` or ``0.8,0.80``) would
     expand the grid twice over identical cells — every duplicated cell
     re-runs and double-counts in the aggregate stats — so duplicates are
-    dropped while preserving first-occurrence order; values failing
-    ``valid`` are rejected up front with ``constraint`` as a parse error
+    dropped while preserving first-occurrence order.  Values are
+    validated by :class:`RunConfig` when the grid is built, up front
     instead of failing inside every cell.
     """
     values = []
@@ -545,123 +416,74 @@ def _parse_axis(text, flag, convert, type_name, valid, constraint):
         try:
             value = convert(part)
         except ValueError:
-            raise SystemExit(
-                f"{flag}: {part!r} is not {type_name}"
-            ) from None
-        if not valid(value):
-            raise SystemExit(f"{flag} values must be {constraint}, got {part}")
+            raise ValueError(f"{flag}: {part!r} is not {type_name}") from None
         if value not in values:
             values.append(value)
     return tuple(values)
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    """``--alphas``: positive floats (memory exponents), deduped, ordered."""
-    return _parse_axis(
-        text,
-        "--alphas",
-        float,
-        "a number",
-        lambda value: value > 0,
-        "positive memory exponents",
-    )
+    """``--alphas``: memory exponents, deduped, ordered."""
+    return _parse_axis(text, "--alphas", float, "a number")
 
 
 def _parse_compress(text: str) -> tuple[int | str, ...]:
-    """``--compress`` for sweeps: ints >= 1 and/or ``auto``, deduped."""
+    """``--compress`` for sweeps: integer windows and/or ``auto``, deduped."""
     return _parse_axis(
         text,
         "--compress",
         lambda part: "auto" if part == "auto" else int(part),
         "an integer or 'auto'",
-        lambda value: value == "auto" or value >= 1,
-        ">= 1",
     )
 
 
 def _parse_mpc_workers(text: str) -> tuple[int, ...]:
-    """``--mpc-workers`` for sweeps: shard counts >= 1, deduped."""
-    return _parse_axis(
-        text,
-        "--mpc-workers",
-        int,
-        "an integer",
-        lambda value: value >= 1,
-        ">= 1",
-    )
+    """``--mpc-workers`` for sweeps: shard counts, deduped."""
+    return _parse_axis(text, "--mpc-workers", int, "an integer")
 
 
 def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if args.grid is not None:
         if args.task is not None:
-            raise SystemExit("pass either --grid or --task, not both")
-        if args.model != "congest" or args.alphas or args.compress:
-            raise SystemExit(
-                "--model/--alphas/--compress apply to ad-hoc --task grids; "
-                "named grids fix their model, alphas and compression per "
-                "cell"
-            )
-        if args.faults:
-            raise SystemExit(
-                "--faults applies to ad-hoc --task grids; named grids fix "
-                "their fault plans per cell (see the mpc-chaos grid)"
+            raise ValueError("pass either --grid or --task, not both")
+        if args.model != "congest" or any(
+            (args.alphas, args.compress, args.faults)
+        ):
+            raise ValueError(
+                "--model/--alphas/--compress/--faults apply to ad-hoc --task "
+                "grids; named grids fix their model, alphas, compression and "
+                "fault plans per cell (see the mpc-chaos grid)"
             )
         return named_grid(args.grid)
     if args.task is None:
-        raise SystemExit("sweep requires --grid NAME or --task NAME")
+        raise ValueError("sweep requires --grid NAME or --task NAME")
     is_mpc_task = args.task.startswith("mpc-")
     if is_mpc_task != (args.model == "mpc"):
-        raise SystemExit(
+        raise ValueError(
             f"task {args.task!r} belongs to the "
             f"{'mpc' if is_mpc_task else 'congest'} model; pass a matching "
             f"--model"
         )
-    alphas: tuple[float, ...] = ()
+    alphas: tuple[float, ...] = (RunConfig.alpha,)
     if args.alphas:
-        if args.model != "mpc":
-            raise SystemExit("--alphas requires --model mpc")
-        alphas = _parse_alphas(args.alphas)
-    elif args.model == "mpc":
-        alphas = (0.8,)
-    compressions: tuple[int | str, ...] = (1,)
-    if args.compress:
-        if args.model != "mpc":
-            raise SystemExit("--compress requires --model mpc")
-        compressions = _parse_compress(args.compress) or (1,)
-    workers_axis: tuple[int, ...] = (1,)
-    if args.mpc_workers:
-        if args.model != "mpc":
-            raise SystemExit("--mpc-workers requires --model mpc")
-        workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
-    faults_param: tuple[tuple[str, object], ...] = ()
-    if args.faults:
-        if args.model != "mpc":
-            raise SystemExit("--faults requires --model mpc")
-        from repro.faults import FaultPlan
-
-        try:
-            FaultPlan.from_spec(args.faults)
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}")
-        faults_param = (("faults", args.faults),)
+        require_mpc(args.model, "--alphas", "sweeps the MPC memory exponent")
+        alphas = _parse_alphas(args.alphas) or alphas
+    compressions = _parse_compress(args.compress) or (1,)
+    workers_axis = _parse_mpc_workers(args.mpc_workers) or (None,)
+    engines = _parse_list(args.engines, str) or (None,)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
         from repro.sweep.tasks import METRICS_TASKS
 
         if args.task not in METRICS_TASKS:
-            raise SystemExit(
+            raise ValueError(
                 f"sweep --metrics requires a metrics-capable task "
                 f"({', '.join(sorted(METRICS_TASKS))}), got {args.task!r}"
             )
         metrics_param = (("metrics", True),)
-    engines: tuple[str | None, ...] = (None,)
-    if args.engines:
-        if args.model == "mpc":
-            raise SystemExit(
-                "--engines selects CONGEST engines; the mpc model has its "
-                "own runtime (sweep --alphas instead)"
-            )
-        engines = _parse_list(args.engines, str)
+    faults_param: tuple[tuple[str, object], ...] = ()
+    if args.faults:
+        faults_param = (("faults", args.faults),)
     epss: tuple[float | None, ...] = (None,)
     if args.epss:
         epss = _parse_list(args.epss, float)
@@ -671,33 +493,38 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     # window lengths or worker counts evaluates the same workload graph —
     # and for workers, produces the byte-identical payload.
     cells = []
-    for alpha in alphas or (None,):
-        for compress in compressions:
-            for workers in workers_axis:
-                params = metrics_param + faults_param
-                if alpha is not None:
-                    params += (("alpha", alpha),)
-                if compress != 1:
-                    params += (("compress", compress),)
-                if workers != 1:
-                    params += (("mpc_workers", workers),)
-                expansion = expand_grid(
-                    name=f"adhoc-{args.task}",
-                    task=args.task,
-                    graphs=_parse_list(args.graphs, str),
-                    ns=_parse_list(args.ns, int),
-                    epss=epss,
-                    engines=engines,
-                    replicates=args.replicates,
-                    base_seed=args.base_seed,
-                    params=params,
-                )
-                cells.extend(expansion.cells)
+    for alpha, compress, workers in itertools.product(
+        alphas, compressions, workers_axis
+    ):
+        for engine in engines:
+            RunConfig(
+                args.model, engine=engine, alpha=alpha, compress=compress,
+                workers=workers, faults=args.faults,
+            )
+        params = metrics_param + faults_param
+        if is_mpc_task:
+            params += (("alpha", alpha),)
+        if compress != 1:
+            params += (("compress", compress),)
+        if workers not in (None, 1):
+            params += (("mpc_workers", workers),)
+        expansion = expand_grid(
+            name=f"adhoc-{args.task}",
+            task=args.task,
+            graphs=_parse_list(args.graphs, str),
+            ns=_parse_list(args.ns, int),
+            epss=epss,
+            engines=engines,
+            replicates=args.replicates,
+            base_seed=args.base_seed,
+            params=params,
+        )
+        cells.extend(expansion.cells)
     grid = GridSpec(name=f"adhoc-{args.task}", cells=tuple(cells))
     if not grid.cells:
         # An empty axis (e.g. --ns "" from an unset shell variable) would
         # otherwise "succeed" vacuously with 0 cells and exit 0.
-        raise SystemExit(
+        raise ValueError(
             "sweep grid is empty; check --graphs/--ns/--epss/--engines/"
             "--replicates for empty values"
         )
@@ -705,9 +532,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
     # the environment override every MPC network resolves its default
@@ -719,12 +544,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid is not None and args.mpc_workers:
         values = _parse_mpc_workers(args.mpc_workers)
         if len(values) != 1:
-            raise SystemExit(
+            raise ValueError(
                 "named grids take a single --mpc-workers value (applied "
                 "as the REPRO_MPC_WORKERS override); axes apply to ad-hoc "
                 "--task grids"
             )
-        env_workers = values[0]
+        env_workers = RunConfig("mpc", workers=values[0]).workers
     from repro.mpc.parallel import WORKERS_ENV_VAR
 
     saved_workers = os.environ.get(WORKERS_ENV_VAR)
@@ -804,6 +629,66 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if sweep.failures else 0
 
 
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Declare the run options ``mvc`` and ``mds`` share (see RunConfig)."""
+    parser.add_argument(
+        "--engine",
+        choices=("v1", "v2", "v2-dict"),
+        default=None,
+        help="simulator engine (default: REPRO_ENGINE env or v2; "
+        "v2-dict disables the batched-outbox fast path)",
+    )
+    parser.add_argument(
+        "--alpha",
+        type=float,
+        default=0.8,
+        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
+    )
+    parser.add_argument(
+        "--compress",
+        "-k",
+        type=_compress_value,
+        default=1,
+        help="mpc model only: batch up to k CONGEST rounds per shuffle "
+        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
+        "window budget); 'auto' lets a peak-hold load estimator choose "
+        "each window's k",
+    )
+    parser.add_argument(
+        "--mpc-workers",
+        type=int,
+        default=None,
+        help="mpc model only: shard the machines over this many forked "
+        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
+        "the shuffle ledger and outputs are identical at any count",
+    )
+    parser.add_argument(
+        "--faults",
+        default=None,
+        metavar="SPEC",
+        help="mpc model only: comma-separated fault plan (crash@B[:T], "
+        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
+        "run; crashed shard workers recover from checkpointed shuffle "
+        "barriers with byte-identical outputs",
+    )
+    parser.add_argument(
+        "--metrics",
+        default=None,
+        metavar="PATH",
+        help="write a structured metrics document (per-phase series plus "
+        "the shuffle ledger) to PATH; congest and mpc models only",
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome trace-event / Perfetto JSON timeline of the "
+        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
+        "PATH; congest and mpc models only — purely observational, the "
+        "run's outputs and ledgers are unchanged",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -818,67 +703,12 @@ def build_parser() -> argparse.ArgumentParser:
     mvc.add_argument("--graph", choices=GRAPH_KINDS, default="gnp")
     mvc.add_argument(
         "--model",
-        choices=("congest", "clique-det", "clique-rand", "centralized", "mpc"),
+        choices=MODELS,
         default="congest",
         help="execution model; mpc compiles the CONGEST rounds onto "
         "low-space machines (with an engine-v2 parity check)",
     )
-    mvc.add_argument(
-        "--engine",
-        choices=("v1", "v2", "v2-dict"),
-        default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2; "
-        "v2-dict disables the batched-outbox fast path)",
-    )
-    mvc.add_argument(
-        "--alpha",
-        type=float,
-        default=0.8,
-        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
-    )
-    mvc.add_argument(
-        "--compress",
-        "-k",
-        type=_compress_value,
-        default=1,
-        help="mpc model only: batch up to k CONGEST rounds per shuffle "
-        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
-        "window budget); 'auto' lets a peak-hold load estimator choose "
-        "each window's k",
-    )
-    mvc.add_argument(
-        "--mpc-workers",
-        type=int,
-        default=None,
-        help="mpc model only: shard the machines over this many forked "
-        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
-        "the shuffle ledger and outputs are identical at any count",
-    )
-    mvc.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="mpc model only: comma-separated fault plan (crash@B[:T], "
-        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
-        "run; crashed shard workers recover from checkpointed shuffle "
-        "barriers with byte-identical outputs",
-    )
-    mvc.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write a structured metrics document (per-phase series plus "
-        "the shuffle ledger) to PATH; congest and mpc models only",
-    )
-    mvc.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
-        "PATH; congest and mpc models only — purely observational, the "
-        "run's outputs and ledgers are unchanged",
-    )
+    _add_run_options(mvc)
     mvc.add_argument("--exact", action="store_true")
     mvc.set_defaults(func=_cmd_mvc)
 
@@ -893,62 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution model; mpc compiles the CONGEST rounds onto "
         "low-space machines (with an engine-v2 parity check)",
     )
-    mds.add_argument(
-        "--engine",
-        choices=("v1", "v2", "v2-dict"),
-        default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2; "
-        "v2-dict disables the batched-outbox fast path)",
-    )
-    mds.add_argument(
-        "--alpha",
-        type=float,
-        default=0.8,
-        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
-    )
-    mds.add_argument(
-        "--compress",
-        "-k",
-        type=_compress_value,
-        default=1,
-        help="mpc model only: batch up to k CONGEST rounds per shuffle "
-        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
-        "window budget); 'auto' lets a peak-hold load estimator choose "
-        "each window's k",
-    )
-    mds.add_argument(
-        "--mpc-workers",
-        type=int,
-        default=None,
-        help="mpc model only: shard the machines over this many forked "
-        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
-        "the shuffle ledger and outputs are identical at any count",
-    )
-    mds.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="mpc model only: comma-separated fault plan (crash@B[:T], "
-        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
-        "run; crashed shard workers recover from checkpointed shuffle "
-        "barriers with byte-identical outputs",
-    )
-    mds.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write a structured metrics document (per-phase series plus "
-        "the shuffle ledger) to PATH; congest and mpc models only",
-    )
-    mds.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
-        "PATH; congest and mpc models only — purely observational, the "
-        "run's outputs and ledgers are unchanged",
-    )
+    _add_run_options(mds)
     mds.add_argument("--exact", action="store_true")
     mds.set_defaults(func=_cmd_mds)
 

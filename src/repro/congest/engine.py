@@ -96,6 +96,8 @@ deliberately exposes how many nodes each engine actually invoked.
 Engine selection: the ``engine=`` constructor argument of
 :class:`~repro.congest.network.CongestNetwork` wins; otherwise the
 ``REPRO_ENGINE`` environment variable; otherwise :data:`DEFAULT_ENGINE`.
+Either names one of ``v1``, ``v2`` or ``v2-dict`` (case and surrounding
+whitespace are ignored); any other name raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -129,17 +131,7 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: Engine used when neither the constructor nor the environment chooses.
 DEFAULT_ENGINE = "v2"
 
-_ALIASES = {
-    "v1": "v1",
-    "sync": "v1",
-    "reference": "v1",
-    "v2": "v2",
-    "activity": "v2",
-    "event": "v2",
-    "v2-batched": "v2",
-    "batched": "v2",
-    "v2-dict": "v2-dict",
-}
+_ALIASES = {"v1": "v1", "v2": "v2", "v2-dict": "v2-dict"}
 
 #: Sentinel for payloads whose word cost cannot be cached by value.
 _UNCACHEABLE = object()
@@ -156,8 +148,7 @@ def resolve_engine_name(name: str | None = None) -> str:
     canonical = _ALIASES.get(str(name).strip().lower())
     if canonical is None:
         raise ValueError(
-            f"unknown engine {name!r}; choose one of "
-            f"{sorted(set(_ALIASES))} (canonically 'v1', 'v2' or 'v2-dict')"
+            f"unknown engine {name!r}; choose 'v1', 'v2' or 'v2-dict'"
         )
     return canonical
 

@@ -186,8 +186,9 @@ class CongestNetwork:
         Optional iterable of label pairs; traffic crossing these edges is
         metered separately (the Alice-Bob cut of Theorem 19).
     engine:
-        Which execution engine runs the rounds: ``"v1"`` (reference) or
-        ``"v2"`` (activity-scheduled, default).  ``None`` defers to the
+        Which execution engine runs the rounds: ``"v1"`` (reference),
+        ``"v2"`` (activity-scheduled, default) or ``"v2-dict"`` (v2
+        without the batch fast path).  ``None`` defers to the
         ``REPRO_ENGINE`` environment variable, then the package default.
     on_round:
         Optional default :class:`RoundEvent` callback applied to every

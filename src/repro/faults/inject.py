@@ -42,6 +42,9 @@ class FaultInjector:
         self.injected = {"crash": 0, "straggle": 0, "mem": 0}
         self.fired: list[tuple[str, int, int | None]] = []
         self.skipped = 0
+        #: Worker crashes the pool detected, whether it then respawned
+        #: (a recovery) or degraded to in-process execution.
+        self.crash_detections = 0
         self.recoveries = 0
         self.degraded = False
         #: Optional :class:`repro.trace.TraceRecorder`: fired events drop
@@ -102,6 +105,9 @@ class FaultInjector:
                 f"(injected by fault plan)"
             )
 
+    def note_crash_detected(self) -> None:
+        self.crash_detections += 1
+
     def note_recovery(self) -> None:
         self.recoveries += 1
 
@@ -118,6 +124,7 @@ class FaultInjector:
             "fired": [list(entry) for entry in self.fired],
             "pending": len(self._pending),
             "skipped": self.skipped,
+            "crash_detections": self.crash_detections,
             "recoveries": self.recoveries,
             "degraded": self.degraded,
         }

@@ -67,6 +67,7 @@ from typing import Any
 
 import networkx as nx
 
+from repro.config import RunConfig
 from repro.congest.engine import Engine
 from repro.congest.errors import RoundLimitError
 from repro.congest.message import payload_words
@@ -92,21 +93,6 @@ class ParityError(AssertionError):
     """The compiled run diverged from the engine-v2 shadow run."""
 
 
-def _tee(*hooks):
-    """Combine ``on_round`` hooks: deliver each event to every non-None one."""
-    live = [hook for hook in hooks if hook is not None]
-    if not live:
-        return None
-    if len(live) == 1:
-        return live[0]
-
-    def fanout(event):
-        for hook in live:
-            hook(event)
-
-    return fanout
-
-
 class MPCCongestNetwork(CongestNetwork):
     """A CONGEST network whose rounds execute on low-space MPC machines.
 
@@ -127,12 +113,17 @@ class MPCCongestNetwork(CongestNetwork):
         strict: bool = True,
         seed: int = 0,
         cut: Iterable[tuple[Any, Any]] | None = None,
-        io_factor: float = 8.0,
         on_round: Callable[[RoundEvent], None] | None = None,
         compress: int | str = 1,
         workers: int | None = None,
-        faults: Any = None,
+        faults: str | None = None,
     ) -> None:
+        #: The validated options; ``workers`` is resolved from the
+        #: ``REPRO_MPC_WORKERS`` override when not explicit.
+        self.config = RunConfig(
+            "mpc", alpha=alpha, compress=compress, workers=workers,
+            faults=faults,
+        )
         super().__init__(
             graph,
             word_limit=word_limit,
@@ -141,29 +132,19 @@ class MPCCongestNetwork(CongestNetwork):
             cut=cut,
             on_round=on_round,
         )
+        self.workers = self.config.workers
         self._estimator = None
-        if isinstance(compress, str):
-            if compress != "auto":
-                raise ValueError(
-                    f"compress must be an integer >= 1 or 'auto', "
-                    f"got {compress!r}"
-                )
+        self._max_compress = compress
+        if compress == "auto":
             from repro.metrics.adaptive import PeakHoldEstimator
 
-            self.compress: int | str = "auto"
             self._max_compress = AUTO_COMPRESS_CAP
             self._estimator = PeakHoldEstimator()
-        else:
-            if compress < 1:
-                raise ValueError(f"compress must be >= 1, got {compress!r}")
-            self.compress = int(compress)
-            self._max_compress = int(compress)
-        self.alpha = alpha
         self.budget_words = memory_budget(self.n, alpha)
         self.assignment = partition_vertices(graph, self.budget_words, seed=seed)
         self._host = self.assignment.machine_of
         self.machines = [
-            Machine(mid, self.budget_words, io_factor=io_factor)
+            Machine(mid, self.budget_words)
             for mid in range(self.assignment.num_machines)
         ]
         for node_id, mid in enumerate(self._host):
@@ -197,27 +178,12 @@ class MPCCongestNetwork(CongestNetwork):
         #: static frontier-load builds — the latter stays bounded by the
         #: window cap no matter how many windows are planned.
         self.planner_stats = {"windows_planned": 0, "state_radii_built": 0}
-        #: Shard-worker count for process-parallel execution; resolved
-        #: from the ``REPRO_MPC_WORKERS`` override when not explicit.
-        self.workers = _parallel.resolve_workers(workers)
-        #: Fault-injection plane: ``faults`` is a spec string or
-        #: :class:`~repro.faults.plan.FaultPlan`; attaching one enables
-        #: checkpointed crash recovery on the shard pool.  ``None`` (the
-        #: default) leaves the fault-free hot path untouched.
-        self.fault_injector = None
-        if faults:
-            from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
-
-            plan = (
-                FaultPlan.from_spec(faults, seed=seed)
-                if isinstance(faults, str)
-                else faults
-            )
-            self.fault_injector = FaultInjector(plan)
-            self.runtime.fault_injector = self.fault_injector
-            self.runtime.recovery = RecoveryConfig(
-                max_recoveries=plan.max_recoveries
-            )
+        #: Fault-injection plane: attaching a plan enables checkpointed
+        #: crash recovery on the shard pool.  No ``faults`` (the default)
+        #: leaves the fault-free hot path untouched.
+        self.fault_injector = (
+            self.runtime.attach_faults(faults, seed) if faults else None
+        )
 
     @property
     def num_machines(self) -> int:
@@ -231,8 +197,8 @@ class MPCCongestNetwork(CongestNetwork):
         """JSON-ready MPC ledger for sweep payloads and benchmarks."""
         summary = {
             "model": "mpc",
-            "alpha": self.alpha,
-            "compress": self.compress,
+            "alpha": self.config.alpha,
+            "compress": self.config.compress,
             "budget_words": self.budget_words,
             "machines": self.num_machines,
             "partition_digest": self.partition_digest(),
@@ -840,16 +806,28 @@ def _event_key(event: RoundEvent) -> tuple[int, int, int, int]:
     return (event.round_index, event.messages, event.words, event.cut_words)
 
 
+def _mpc_network(
+    graph: nx.Graph,
+    config: RunConfig,
+    seed: int,
+    collector: Any | None = None,
+    tracer: Any = None,
+) -> MPCCongestNetwork:
+    """``config.network(...)``, refusing configs of another model."""
+    if config.model != "mpc":
+        raise ValueError(
+            f"the compiled solvers need a config of model 'mpc', got "
+            f"{config.model!r}"
+        )
+    return config.network(graph, seed, collector=collector, tracer=tracer)
+
+
 def solve_with_parity(
     solver: Callable[..., Any],
     graph: nx.Graph,
-    alpha: float,
+    config: RunConfig,
     seed: int = 0,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
     tracer: Any = None,
 ) -> tuple[Any, MPCCongestNetwork, dict[str, Any]]:
     """Run ``solver`` on the MPC backend and on an engine-v2 shadow.
@@ -860,12 +838,12 @@ def solve_with_parity(
     runs must agree on the solution, on every ``RunStats`` field and on
     the per-round ``RoundEvent`` stream (messages/words/cut words, round
     by round, across all stages) — any divergence raises
-    :class:`ParityError`.  ``compress`` only changes the MPC ledger (how
-    many shuffles carry those rounds), so the parity claim is asserted
-    unchanged at every ``k`` (``"auto"`` included).  A metrics
-    ``collector`` observes the MPC side's round and shuffle streams
-    alongside the parity check.  Returns ``(mpc_result, mpc_network,
-    report)``.
+    :class:`ParityError`.  The ``config`` (model ``mpc``) options only
+    change the MPC ledger and its execution, so the parity claim is
+    asserted unchanged at every ``compress`` (``"auto"`` included),
+    worker count and fault plan.  A metrics ``collector`` observes the
+    MPC side's round and shuffle streams alongside the parity check.
+    Returns ``(mpc_result, mpc_network, report)``.
     """
     ref_events: list[RoundEvent] = []
     mpc_events: list[RoundEvent] = []
@@ -873,23 +851,15 @@ def solve_with_parity(
         graph, seed=seed, engine="v2", on_round=ref_events.append
     )
     ref_result = solver(network=ref_net)
-    mpc_net = MPCCongestNetwork(
-        graph,
-        alpha=alpha,
-        seed=seed,
-        io_factor=io_factor,
-        on_round=_tee(
-            mpc_events.append,
-            collector.on_round if collector is not None else None,
-        ),
-        compress=compress,
-        workers=workers,
-        faults=faults,
-    )
-    if collector is not None:
-        mpc_net.runtime.on_shuffle = collector.on_shuffle
-        mpc_net.collector = collector
-    mpc_net.tracer = tracer
+    mpc_net = _mpc_network(graph, config, seed, collector, tracer)
+    observer = mpc_net.on_round
+
+    def record(event: RoundEvent) -> None:
+        mpc_events.append(event)
+        if observer is not None:
+            observer(event)
+
+    mpc_net.on_round = record
     mpc_result = solver(network=mpc_net)
 
     if mpc_result.cover != ref_result.cover:
@@ -926,29 +896,22 @@ def solve_with_parity(
 def run_stage_parity(
     graph: nx.Graph,
     stages: Iterable[AlgorithmFactory],
-    alpha: float,
+    config: RunConfig,
     seed: int = 0,
     prepare: Callable[[CongestNetwork], None] | None = None,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
-    workers: int | None = None,
-    faults: Any = None,
 ) -> dict[str, Any]:
     """Stage-level parity check for bare ``NodeAlgorithm`` factories.
 
-    Runs each factory back to back on an MPC network and an engine-v2
-    network (same graph, same seed), with ``prepare(network)`` seeding any
-    required per-node state on each side first.  Asserts per-stage outputs,
-    stats and traces are identical — at any ``compress`` window, since
-    compression never touches the CONGEST ledger; returns a summary dict
-    (stage count, rounds, the MPC ledger).
+    Runs each factory back to back on an MPC network built from
+    ``config`` and on an engine-v2 network (same graph, same seed), with
+    ``prepare(network)`` seeding any required per-node state on each side
+    first.  Asserts per-stage outputs, stats and traces are identical — at
+    any ``compress`` window, since compression never touches the CONGEST
+    ledger; returns a summary dict (stage count, rounds, the MPC ledger).
     """
     stages = list(stages)
     ref_net = CongestNetwork(graph, seed=seed, engine="v2")
-    mpc_net = MPCCongestNetwork(
-        graph, alpha=alpha, seed=seed, io_factor=io_factor,
-        compress=compress, workers=workers, faults=faults,
-    )
+    mpc_net = _mpc_network(graph, config, seed)
     for net in (ref_net, mpc_net):
         net.reset_state()
         if prepare is not None:
@@ -975,43 +938,28 @@ def run_stage_parity(
 def _solve_on_mpc(
     solver: Callable[..., Any],
     graph: nx.Graph,
-    alpha: float,
+    config: RunConfig,
     seed: int,
     check_parity: bool,
-    io_factor: float,
-    compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
     tracer: Any = None,
 ):
     """Shared scaffolding of the compiled solver entry points.
 
-    Runs ``solver(network=...)`` on a fresh MPC network — with the live
-    engine-v2 shadow when ``check_parity`` — and returns the result
-    together with the machine-side ledger payload (including the parity
-    report when one was produced).  A metrics ``collector`` is hooked
-    into the MPC network's round and shuffle streams and handed the
-    final MPC ledger.
+    Runs ``solver(network=...)`` on a fresh MPC network built from
+    ``config`` — with the live engine-v2 shadow when ``check_parity`` —
+    and returns the result together with the machine-side ledger payload
+    (including the parity report when one was produced).  A metrics
+    ``collector`` is hooked into the MPC network's round and shuffle
+    streams and handed the final MPC ledger.
     """
     if check_parity:
         result, net, report = solve_with_parity(
-            solver, graph, alpha=alpha, seed=seed, io_factor=io_factor,
-            compress=compress, collector=collector, workers=workers,
-            faults=faults, tracer=tracer,
+            solver, graph, config, seed=seed, collector=collector,
+            tracer=tracer,
         )
     else:
-        net = MPCCongestNetwork(
-            graph, alpha=alpha, seed=seed, io_factor=io_factor,
-            compress=compress,
-            on_round=collector.on_round if collector is not None else None,
-            workers=workers,
-            faults=faults,
-        )
-        if collector is not None:
-            net.runtime.on_shuffle = collector.on_shuffle
-            net.collector = collector
-        net.tracer = tracer
+        net = _mpc_network(graph, config, seed, collector, tracer)
         result = solver(network=net)
         report = {"parity": False}
     # The sweep/CLI payload is mpc_summary() verbatim — the worker count
@@ -1030,27 +978,24 @@ def _solve_on_mpc(
         collector.record_mpc({**net.mpc_summary(), "workers": net.workers})
         if fault_report is not None:
             collector.record_faults(fault_report)
-        collector.set_engine(net.engine_name)
     return result, payload
 
 
 def solve_mvc_mpc(
     graph: nx.Graph,
     epsilon: float,
-    alpha: float,
+    config: RunConfig,
     seed: int = 0,
     check_parity: bool = False,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
     tracer: Any = None,
 ):
     """Algorithm 1 ((1+eps)-MVC of G^2) compiled onto the MPC backend.
 
-    Returns ``(DistributedCoverResult, mpc_payload)`` where the payload is
-    the machine-side ledger (plus the parity report when requested).
+    ``config`` (model ``mpc``) carries ``alpha``, ``compress``,
+    ``workers`` and ``faults``.  Returns ``(DistributedCoverResult,
+    mpc_payload)`` where the payload is the machine-side ledger (plus the
+    parity report when requested).
     """
     from repro.core.mvc_congest import approx_mvc_square
 
@@ -1058,22 +1003,17 @@ def solve_mvc_mpc(
         return approx_mvc_square(graph, epsilon, network=network)
 
     return _solve_on_mpc(
-        solver, graph, alpha, seed, check_parity, io_factor, compress,
-        collector, workers, faults, tracer,
+        solver, graph, config, seed, check_parity, collector, tracer
     )
 
 
 def solve_mds_mpc(
     graph: nx.Graph,
-    alpha: float,
+    config: RunConfig,
     seed: int = 0,
     samples: int | None = None,
     check_parity: bool = False,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
     tracer: Any = None,
 ):
     """Theorem 28 (O(log Delta)-MDS of G^2) compiled onto the MPC backend."""
@@ -1083,6 +1023,5 @@ def solve_mds_mpc(
         return approx_mds_square(graph, network=network, samples=samples)
 
     return _solve_on_mpc(
-        solver, graph, alpha, seed, check_parity, io_factor, compress,
-        collector, workers, faults, tracer,
+        solver, graph, config, seed, check_parity, collector, tracer
     )

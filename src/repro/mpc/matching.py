@@ -374,18 +374,7 @@ def mpc_maximal_matching(
         runtime.on_shuffle = collector.on_shuffle
     if tracer is not None:
         runtime.tracer = tracer
-    fault_injector = None
-    if faults:
-        from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
-
-        plan = (
-            FaultPlan.from_spec(faults, seed=seed)
-            if isinstance(faults, str)
-            else faults
-        )
-        fault_injector = FaultInjector(plan)
-        runtime.fault_injector = fault_injector
-        runtime.recovery = RecoveryConfig(max_recoveries=plan.max_recoveries)
+    fault_injector = runtime.attach_faults(faults, seed) if faults else None
     result = runtime.run(programs, max_rounds=max_rounds, workers=workers)
     coordinator = programs[_COORDINATOR]
     matching: set[frozenset] = set()

@@ -310,10 +310,10 @@ class ForkShardPool(InProcessShards):
     most ``checkpoint_interval`` barriers of local computation, and
     since every metered shuffle happens parent-side *between* barriers,
     no shuffle is ever replayed: the ledger of a recovered run is
-    byte-identical to a fault-free one.  After ``max_recoveries``
-    crashes the pool restores checkpoint-plus-replay onto the
-    parent-side handlers and degrades to the in-process executor it
-    extends, surfacing a
+    byte-identical to a fault-free one.  Once ``max_recoveries``
+    respawns are spent, the next crash restores checkpoint-plus-replay
+    onto the parent-side handlers and degrades the pool to the
+    in-process executor it extends, surfacing a
     :class:`~repro.faults.recovery.DegradedExecutionWarning`.
 
     **Fault injection.**  An ``injector``
@@ -374,7 +374,7 @@ class ForkShardPool(InProcessShards):
 
     @property
     def recoveries(self) -> int:
-        """Crash recoveries performed so far (including the degrading one)."""
+        """Respawn-and-replay recoveries so far (a degrading crash is not one)."""
         return self._recoveries
 
     def _spawn(self) -> None:
@@ -546,7 +546,7 @@ class ForkShardPool(InProcessShards):
         if self._tracer is not None:
             self._tracer.instant(
                 "recovery.degrade", cat="recovery",
-                recoveries=self._recoveries - 1,
+                recoveries=self._recoveries,
             )
         if self._checkpoints is not None:
             super().step([("restore", blob) for blob in self._checkpoints])
@@ -557,7 +557,7 @@ class ForkShardPool(InProcessShards):
             self._injector.note_degraded()
         warnings.warn(
             f"MPC shard pool exceeded its recovery budget "
-            f"({self._recoveries - 1} recoveries); degrading to in-process "
+            f"({self._recoveries} recoveries); degrading to in-process "
             f"serial execution (results and ledger are unaffected)",
             _degraded_warning_class(),
             stacklevel=4,
@@ -602,11 +602,15 @@ class ForkShardPool(InProcessShards):
                     self._broken = True
                     self.close()
                     raise
-                self._recoveries += 1
                 if self._injector is not None:
-                    self._injector.note_recovery()
-                if self._recoveries > self._recovery.max_recoveries:
+                    self._injector.note_crash_detected()
+                if self._recoveries >= self._recovery.max_recoveries:
                     self._degrade()
+                else:
+                    # The respawn-and-replay runs at the top of the retry.
+                    self._recoveries += 1
+                    if self._injector is not None:
+                        self._injector.note_recovery()
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""

@@ -185,6 +185,23 @@ class MPCRuntime:
     def num_machines(self) -> int:
         return len(self.machines)
 
+    def attach_faults(self, faults: Any, seed: int) -> Any:
+        """Attach a fault plan and checkpointed recovery; return the injector.
+
+        ``faults`` is a spec string (parsed with ``seed``) or a
+        :class:`~repro.faults.plan.FaultPlan`.
+        """
+        from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
+
+        plan = (
+            FaultPlan.from_spec(faults, seed=seed)
+            if isinstance(faults, str)
+            else faults
+        )
+        self.fault_injector = FaultInjector(plan)
+        self.recovery = RecoveryConfig(max_recoveries=plan.max_recoveries)
+        return self.fault_injector
+
     # -- the shuffle -------------------------------------------------------
 
     def shuffle(

@@ -15,8 +15,9 @@ Conventions shared by the built-in tasks:
 * ``signature`` — a short hex digest of the solution, used by differential
   checks (engine v1 vs v2 parity at benchmark scale) without shipping the
   full solution between processes.
-* per-cell engine selection — ``cell.engine`` is passed straight to the
-  solver / network constructor, so one grid can mix ``v1`` and ``v2`` cells.
+* per-cell run options — ``RunConfig.from_cell`` reads ``cell.engine``
+  and the MPC params and builds the cell's network, so one grid can mix
+  ``v1`` and ``v2`` cells or compression windows.
 
 New tasks register with :func:`register_task`; the registry is module-level
 state, so tasks defined in test or benchmark modules are visible to
@@ -33,6 +34,7 @@ import time
 from collections.abc import Callable, Iterable
 from typing import Any
 
+from repro.config import RunConfig
 from repro.congest.network import CongestNetwork, RunStats
 from repro.sweep.spec import Cell
 
@@ -114,45 +116,6 @@ def signature_of(items: Iterable[Any]) -> str:
 METRICS_TASKS: frozenset[str] = frozenset(
     {"mvc-congest", "mds-congest", "mpc-mvc", "mpc-mds", "mpc-matching"}
 )
-
-
-def _compress_of(cell: Cell) -> int | str:
-    """A cell's shuffle-compression setting: an int window or ``"auto"``.
-
-    Cell params are JSON scalars, so ``"auto"`` arrives as a plain string;
-    anything else is coerced to the integer window the compiler expects.
-    """
-    compress = cell.param("compress", 1)
-    if compress == "auto":
-        return "auto"
-    return int(compress)
-
-
-def _workers_of(cell: Cell) -> int | None:
-    """A cell's MPC shard-worker count, or ``None`` to use the default.
-
-    ``None`` lets the network resolve the count from ``REPRO_MPC_WORKERS``
-    (then 1), which is how named grids run parallel without changing cell
-    coordinates.  The payload is identical at any value — worker count is
-    an execution detail, not a workload axis — so it never enters the
-    payload digests the runner compares.
-    """
-    workers = cell.param("mpc_workers")
-    return None if workers is None else int(workers)
-
-
-def _faults_of(cell: Cell) -> str | None:
-    """A cell's fault-injection spec string, or ``None`` for fault-free.
-
-    Like worker count, faults are an execution-environment detail: the
-    recovery contract pins the ledger byte-identical with and without
-    them, so the spec never enters the metrics label.  The fault/recovery
-    *report* rides in the payload but records execution (whether an event
-    fired depends on the worker count), so ``CellResult.to_json`` scopes
-    it out of the deterministic digest along with the timings.
-    """
-    faults = cell.param("faults")
-    return None if faults is None else str(faults)
 
 
 #: Cell coordinates that select a backend variant rather than a workload;
@@ -265,40 +228,57 @@ def _cell_graph(cell: Cell):
 # -- cover / dominating-set solvers ---------------------------------------
 
 
+def _cover_payload(
+    cell: Cell,
+    result: Any,
+    collector: Any = None,
+    exact: Callable[[], int] | None = None,
+    **extra: Any,
+) -> dict[str, Any]:
+    """The payload every cover task shares, plus task-specific ``extra``.
+
+    An ``mpc`` ledger's fault/recovery report moves to the top level
+    (matching ``mpc-matching``), keeping ``mpc`` the parity-compared
+    ledger.  ``exact`` computes the optimum for cells with the ``exact``
+    param.
+    """
+    payload: dict[str, Any] = {
+        "cover_size": len(result.cover),
+        "stats": stats_to_json(result.stats),
+        "signature": signature_of(result.cover),
+        **extra,
+    }
+    if "faults" in extra.get("mpc", ()):
+        payload["faults"] = extra["mpc"].pop("faults")
+    if collector is not None:
+        payload["metrics"] = collector.to_json()
+    if exact is not None and cell.param("exact"):
+        opt = exact()
+        payload["opt"] = opt
+        payload["ratio"] = len(result.cover) / opt
+    return payload
+
+
 @register_task("mvc-congest", graph_cache=True)
 def _mvc_congest(cell: Cell) -> dict[str, Any]:
     """Algorithm 1 ((1+eps)-MVC of G^2) on the CONGEST simulator."""
     from repro.core.mvc_congest import approx_mvc_square
+    from repro.exact.vertex_cover import minimum_vertex_cover
     from repro.graphs.power import square
     from repro.graphs.validation import assert_vertex_cover
 
     eps = 0.5 if cell.eps is None else cell.eps
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
-    if collector is not None:
-        network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
-        collector.attach(network)
-        result = approx_mvc_square(graph, eps, network=network)
-    else:
-        result = approx_mvc_square(
-            graph, eps, seed=cell.seed, engine=cell.engine
-        )
+    network = RunConfig.from_cell(cell).network(
+        graph, cell.seed, collector=collector
+    )
+    result = approx_mvc_square(graph, eps, network=network)
     sq = square(graph)
     assert_vertex_cover(sq, result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    if cell.param("exact"):
-        from repro.exact.vertex_cover import minimum_vertex_cover
-
-        opt = len(minimum_vertex_cover(sq))
-        payload["opt"] = opt
-        payload["ratio"] = len(result.cover) / opt
-    return payload
+    return _cover_payload(
+        cell, result, collector, lambda: len(minimum_vertex_cover(sq))
+    )
 
 
 @register_task("mvc-clique-det", graph_cache=True)
@@ -310,50 +290,35 @@ def _mvc_clique_det(cell: Cell) -> dict[str, Any]:
 
     eps = 0.5 if cell.eps is None else cell.eps
     graph = _cell_graph(cell)
+    config = RunConfig.from_cell(cell, "clique-det")
     result = approx_mvc_square_clique_deterministic(
-        graph, eps, seed=cell.seed, engine=cell.engine
+        graph, eps, network=config.network(graph, cell.seed)
     )
     assert_vertex_cover(square(graph), result.cover)
-    return {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
+    return _cover_payload(cell, result)
 
 
 @register_task("mds-congest", graph_cache=True)
 def _mds_congest(cell: Cell) -> dict[str, Any]:
     """Theorem 28 (O(log Delta)-MDS of G^2) on the CONGEST simulator."""
     from repro.core.mds_congest import approx_mds_square
+    from repro.exact.dominating_set import minimum_dominating_set
     from repro.graphs.power import square
     from repro.graphs.validation import assert_dominating_set
 
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
-    if collector is not None:
-        network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
-        collector.attach(network)
-        result = approx_mds_square(graph, network=network)
-    else:
-        result = approx_mds_square(graph, seed=cell.seed, engine=cell.engine)
+    network = RunConfig.from_cell(cell).network(
+        graph, cell.seed, collector=collector
+    )
+    result = approx_mds_square(graph, network=network)
     sq = square(graph)
     assert_dominating_set(sq, result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "phases": result.detail["phases"],
-        "max_degree": max(d for _, d in graph.degree),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    if cell.param("exact"):
-        from repro.exact.dominating_set import minimum_dominating_set
-
-        opt = len(minimum_dominating_set(sq))
-        payload["opt"] = opt
-        payload["ratio"] = len(result.cover) / opt
-    return payload
+    return _cover_payload(
+        cell, result, collector, lambda: len(minimum_dominating_set(sq)),
+        phases=result.detail["phases"],
+        max_degree=max(d for _, d in graph.degree),
+    )
 
 
 @register_task("mds-estimator", graph_cache=True)
@@ -364,7 +329,7 @@ def _mds_estimator(cell: Cell) -> dict[str, Any]:
 
     graph = _cell_graph(cell)
     samples = int(cell.param("samples", 32))
-    net = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
+    net = RunConfig.from_cell(cell).network(graph, cell.seed)
     estimates, result = estimate_neighborhood_sizes(
         net, members=list(graph.nodes), samples=samples
     )
@@ -403,34 +368,18 @@ def _mpc_mvc(cell: Cell) -> dict[str, Any]:
     from repro.mpc.compile_congest import solve_mvc_mpc
 
     eps = 0.5 if cell.eps is None else cell.eps
-    alpha = float(cell.param("alpha", 0.8))
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
     result, mpc = solve_mvc_mpc(
         graph,
         eps,
-        alpha=alpha,
+        RunConfig.from_cell(cell),
         seed=cell.seed,
         check_parity=bool(cell.param("parity", False)),
-        compress=_compress_of(cell),
         collector=collector,
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
     )
     assert_vertex_cover(square(graph), result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-        "mpc": mpc,
-    }
-    # The fault/recovery report rides top-level (matching mpc-matching),
-    # keeping "mpc" the parity-compared ledger.
-    if "faults" in mpc:
-        payload["faults"] = mpc.pop("faults")
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    return payload
+    return _cover_payload(cell, result, collector, mpc=mpc)
 
 
 @register_task("mpc-mds", graph_cache=True)
@@ -440,32 +389,19 @@ def _mpc_mds(cell: Cell) -> dict[str, Any]:
     from repro.graphs.validation import assert_dominating_set
     from repro.mpc.compile_congest import solve_mds_mpc
 
-    alpha = float(cell.param("alpha", 0.8))
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
     result, mpc = solve_mds_mpc(
         graph,
-        alpha=alpha,
+        RunConfig.from_cell(cell),
         seed=cell.seed,
         check_parity=bool(cell.param("parity", False)),
-        compress=_compress_of(cell),
         collector=collector,
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
     )
     assert_dominating_set(square(graph), result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "phases": result.detail["phases"],
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-        "mpc": mpc,
-    }
-    if "faults" in mpc:
-        payload["faults"] = mpc.pop("faults")
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    return payload
+    return _cover_payload(
+        cell, result, collector, phases=result.detail["phases"], mpc=mpc
+    )
 
 
 @register_task("mpc-matching", graph_cache=True)
@@ -482,12 +418,12 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
         mpc_maximal_matching,
     )
 
-    alpha = float(cell.param("alpha", 0.8))
+    config = RunConfig.from_cell(cell)
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
     result = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=_workers_of(cell),
-        faults=_faults_of(cell), collector=collector,
+        graph, alpha=config.alpha, seed=cell.seed, workers=config.workers,
+        faults=config.faults, collector=collector,
     )
     assert_maximal_matching(graph, result.matching)
     oracle = deterministic_maximal_matching(graph)
@@ -533,7 +469,7 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
         mpc_maximal_matching,
     )
 
-    alpha = float(cell.param("alpha", 0.9))
+    config = RunConfig.from_cell(cell)
     graph = _cell_graph(cell)
 
     def prepare(network: CongestNetwork) -> None:
@@ -546,16 +482,13 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
             lambda view: PhaseOneAlgorithm(view, threshold=2, iterations=4),
             lambda view: EstimationStage(view, samples=6),
         ],
-        alpha=alpha,
+        config,
         seed=cell.seed,
         prepare=prepare,
-        compress=_compress_of(cell),
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
     )
     matching = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=_workers_of(cell),
-        faults=_faults_of(cell),
+        graph, alpha=config.alpha, seed=cell.seed, workers=config.workers,
+        faults=config.faults,
     )
     assert_maximal_matching(graph, matching.matching)
     oracle = deterministic_maximal_matching(graph)
@@ -584,9 +517,7 @@ def _pipeline_path(cell: Cell) -> dict[str, Any]:
     from repro.graphs.generators import path_graph
 
     tokens_per_node = int(cell.param("tokens", 16))
-    net = CongestNetwork(
-        path_graph(cell.n), seed=cell.seed, engine=cell.engine
-    )
+    net = RunConfig.from_cell(cell).network(path_graph(cell.n), cell.seed)
     tokens = {0: [(i, i) for i in range(tokens_per_node)]}
     collected, combined = convergecast_tokens(net, tokens)
     return {
@@ -603,9 +534,7 @@ def _broadcast_star(cell: Cell) -> dict[str, Any]:
     from repro.graphs.generators import star_graph
 
     tokens_per_node = int(cell.param("tokens", 16))
-    net = CongestNetwork(
-        star_graph(cell.n), seed=cell.seed, engine=cell.engine
-    )
+    net = RunConfig.from_cell(cell).network(star_graph(cell.n), cell.seed)
     result, _bfs = broadcast_tokens(
         net, [(i,) for i in range(tokens_per_node)]
     )

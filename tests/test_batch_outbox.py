@@ -433,5 +433,7 @@ def test_v2_dict_engine_is_selectable():
 def test_v2_dict_env_selection(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "v2-dict")
     assert CongestNetwork(path_graph(3)).engine_name == "v2-dict"
+    # "batched" was an alias of v2; only canonical names remain.
     monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert CongestNetwork(path_graph(3)).engine_name == "v2"
+    with pytest.raises(ValueError, match="batched"):
+        CongestNetwork(path_graph(3))

@@ -32,6 +32,8 @@ class TestErrorBoundary:
             ["mvc", "--n", "0"],
             ["mds", "--n", "0"],
             ["mvc", "--model", "mpc", "--alpha", "0.5", "--n", "3"],
+            ["sweep", "--task", "mvc-congest", "--engines", "v9"],
+            ["verify", "--compress", "2"],
         ],
     )
     def test_bad_parameters_print_one_error_line(self, argv, capsys):
@@ -154,13 +156,13 @@ class TestSweepCommand:
         assert code == 1
         assert "1 error" in capsys.readouterr().out
 
-    def test_grid_and_task_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--grid", "smoke", "--task", "mvc-congest"])
+    def test_grid_and_task_are_exclusive(self, capsys):
+        assert main(["sweep", "--grid", "smoke", "--task", "mvc-congest"]) == 2
+        assert "not both" in capsys.readouterr().err
 
-    def test_requires_grid_or_task(self):
-        with pytest.raises(SystemExit):
-            main(["sweep"])
+    def test_requires_grid_or_task(self, capsys):
+        assert main(["sweep"]) == 2
+        assert "--grid NAME or --task NAME" in capsys.readouterr().err
 
 
 class TestAlphasParsing:
@@ -177,18 +179,18 @@ class TestAlphasParsing:
         keys = [cell.key for cell in grid.cells]
         assert len(keys) == len(set(keys)) == 2
 
-    def test_nonpositive_alpha_rejected(self):
-        from repro.cli import _parse_alphas
-
+    def test_nonpositive_alpha_rejected(self, capsys):
         for bad in ("0", "-0.5", "0.8,0"):
-            with pytest.raises(SystemExit, match="positive"):
-                _parse_alphas(bad)
+            code = main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                         "--alphas", bad, "--ns", "12"])
+            assert code == 2
+            assert "positive" in capsys.readouterr().err
 
-    def test_non_numeric_alpha_rejected(self):
-        from repro.cli import _parse_alphas
-
-        with pytest.raises(SystemExit, match="not a number"):
-            _parse_alphas("0.8,abc")
+    def test_non_numeric_alpha_rejected(self, capsys):
+        code = main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                     "--alphas", "0.8,abc", "--ns", "12"])
+        assert code == 2
+        assert "not a number" in capsys.readouterr().err
 
 
 class TestCompressFlag:
@@ -214,12 +216,14 @@ class TestCompressFlag:
         assert code == 2
         assert ">= 1" in capsys.readouterr().err
 
-    def test_sweep_compress_axis_dedupes(self):
+    def test_sweep_compress_axis_dedupes(self, capsys):
         from repro.cli import _parse_compress, _sweep_grid_from_args
 
         assert _parse_compress("4,2,4,1") == (4, 2, 1)
-        with pytest.raises(SystemExit, match=">= 1"):
-            _parse_compress("2,0")
+        code = main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                     "--compress", "2,0", "--ns", "12"])
+        assert code == 2
+        assert ">= 1" in capsys.readouterr().err
         args = build_parser().parse_args(
             ["sweep", "--task", "mpc-mvc", "--model", "mpc",
              "--alphas", "0.9", "--compress", "1,2,2", "--ns", "12"]
@@ -228,10 +232,11 @@ class TestCompressFlag:
         assert len(grid.cells) == 2
         assert [cell.param("compress", 1) for cell in grid.cells] == [1, 2]
 
-    def test_sweep_compress_requires_mpc_model(self):
-        with pytest.raises(SystemExit, match="--model mpc"):
-            main(["sweep", "--task", "mvc-congest", "--ns", "10",
-                  "--compress", "2"])
+    def test_sweep_compress_requires_mpc_model(self, capsys):
+        code = main(["sweep", "--task", "mvc-congest", "--ns", "10",
+                     "--compress", "2"])
+        assert code == 2
+        assert "--model mpc" in capsys.readouterr().err
 
     def test_verify_mpc_with_compression(self, capsys):
         code = main(
@@ -310,10 +315,11 @@ class TestMetricsFlag:
         assert code == 2
         assert "--model congest or --model mpc" in capsys.readouterr().err
 
-    def test_sweep_metrics_requires_capable_task(self):
-        with pytest.raises(SystemExit, match="metrics-capable"):
-            main(["sweep", "--task", "selftest-ok", "--ns", "8",
-                  "--metrics", "/tmp/unused.json"])
+    def test_sweep_metrics_requires_capable_task(self, capsys):
+        code = main(["sweep", "--task", "selftest-ok", "--ns", "8",
+                     "--metrics", "/tmp/unused.json"])
+        assert code == 2
+        assert "metrics-capable" in capsys.readouterr().err
 
     def test_sweep_metrics_writes_cell_documents(self, capsys, tmp_path):
         from repro.metrics import validate_metrics
@@ -388,19 +394,22 @@ class TestFaultsFlag:
         assert "faults: crash=1" in out
         assert "recoveries=1" in out
 
-    def test_sweep_faults_require_mpc_model(self):
-        with pytest.raises(SystemExit, match="--model mpc"):
-            main(["sweep", "--task", "mvc-congest", "--ns", "10",
-                  "--faults", "crash@1", "--quiet"])
+    def test_sweep_faults_require_mpc_model(self, capsys):
+        code = main(["sweep", "--task", "mvc-congest", "--ns", "10",
+                     "--faults", "crash@1", "--quiet"])
+        assert code == 2
+        assert "--model mpc" in capsys.readouterr().err
 
-    def test_sweep_faults_rejected_for_named_grids(self):
-        with pytest.raises(SystemExit, match="ad-hoc"):
-            main(["sweep", "--grid", "smoke", "--faults", "crash@1"])
+    def test_sweep_faults_rejected_for_named_grids(self, capsys):
+        code = main(["sweep", "--grid", "smoke", "--faults", "crash@1"])
+        assert code == 2
+        assert "ad-hoc" in capsys.readouterr().err
 
-    def test_sweep_bad_spec_rejected(self):
-        with pytest.raises(SystemExit, match="bad fault token"):
-            main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
-                  "--ns", "10", "--faults", "nope@2", "--quiet"])
+    def test_sweep_bad_spec_rejected(self, capsys):
+        code = main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                     "--ns", "10", "--faults", "nope@2", "--quiet"])
+        assert code == 2
+        assert "bad fault token" in capsys.readouterr().err
 
     def test_sweep_faults_param_attached_to_every_cell(self):
         from repro.cli import _sweep_grid_from_args, build_parser

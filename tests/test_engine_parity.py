@@ -245,8 +245,10 @@ def test_engine_env_override(monkeypatch):
     graph = path_graph(3)
     monkeypatch.setenv("REPRO_ENGINE", "v1")
     assert CongestNetwork(graph).engine_name == "v1"
+    # Only the canonical names select an engine; "activity" was an alias.
     monkeypatch.setenv("REPRO_ENGINE", "activity")
-    assert CongestNetwork(graph).engine_name == "v2"
+    with pytest.raises(ValueError, match="activity"):
+        CongestNetwork(graph)
     monkeypatch.delenv("REPRO_ENGINE")
     assert CongestNetwork(graph).engine_name == "v2"
     # An explicit constructor choice beats the environment.

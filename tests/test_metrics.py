@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.network import CongestNetwork, run_stages
 from repro.core.mvc_congest import approx_mvc_square
@@ -235,8 +236,8 @@ class TestDeterministicByteIdentity:
         for compress in (1, 2, 4, "auto"):
             collector = MetricsCollector(label="axis")
             solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=16, check_parity=True,
-                compress=compress, collector=collector,
+                graph, 0.5, RunConfig("mpc", alpha=0.9, compress=compress),
+                seed=16, check_parity=True, collector=collector,
             )
             sections[compress] = _canonical(
                 collector.to_json()["deterministic"]
@@ -249,8 +250,8 @@ class TestDeterministicByteIdentity:
         for compress in (1, 4):
             collector = MetricsCollector(label="axis")
             solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=16, compress=compress,
-                collector=collector,
+                graph, 0.5, RunConfig("mpc", alpha=0.9, compress=compress),
+                seed=16, collector=collector,
             )
             shuffles[compress] = collector.to_json()["variant"]["shuffle"][
                 "shuffles"
@@ -308,8 +309,8 @@ class TestAutoCompression:
         counts = {}
         for compress in (1, 2, 4, "auto"):
             _, payload = solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=5, check_parity=True,
-                compress=compress,
+                graph, 0.5, RunConfig("mpc", alpha=0.9, compress=compress),
+                seed=5, check_parity=True,
             )
             counts[compress] = payload["shuffle"]["shuffles"]
         fixed_best = min(v for k, v in counts.items() if k != "auto")
@@ -320,8 +321,8 @@ class TestAutoCompression:
         counts = {}
         for compress in (1, 2, 4, "auto"):
             _, payload = solve_mds_mpc(
-                graph, alpha=1.0, seed=12, check_parity=True,
-                compress=compress,
+                graph, RunConfig("mpc", alpha=1.0, compress=compress), seed=12,
+                check_parity=True,
             )
             counts[compress] = payload["shuffle"]["shuffles"]
         fixed_best = min(v for k, v in counts.items() if k != "auto")
@@ -418,8 +419,9 @@ class TestConvergenceSeries:
         for workers in (1, 2):
             collector = MetricsCollector(label="conv")
             solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=9, compress="auto",
-                collector=collector, workers=workers,
+                graph, 0.5,
+                RunConfig("mpc", alpha=0.9, compress="auto", workers=workers),
+                seed=9, collector=collector,
             )
             curves[f"mpc-w{workers}"] = _canonical(
                 collector.to_json()["deterministic"]["convergence"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RunConfig
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.network import CongestNetwork
 from repro.core.estimation import EstimationStage
@@ -74,10 +75,8 @@ class TestStageParity:
     def test_stage_parity_helper(self):
         graph = gnp_graph(16, 0.2, seed=2)
         report = run_stage_parity(
-            graph,
-            [lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=3)],
-            alpha=0.9,
-            seed=2,
+            graph, [lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=3)],
+            RunConfig("mpc", alpha=0.9), seed=2,
         )
         assert report["parity"] is True
         assert report["congest_rounds"] > 0
@@ -86,10 +85,8 @@ class TestStageParity:
     def test_path_graph_compiles(self):
         graph = path_graph(20)
         report = run_stage_parity(
-            graph,
-            [lambda v: BfsTreeAlgorithm(v, v.n - 1)],
-            alpha=0.5,
-            seed=0,
+            graph, [lambda v: BfsTreeAlgorithm(v, v.n - 1)],
+            RunConfig("mpc", alpha=0.5), seed=0,
         )
         assert report["parity"] is True
 
@@ -98,7 +95,8 @@ class TestFullSolverParity:
     def test_mvc_end_to_end(self):
         graph = gnp_graph(20, 0.18, seed=9)
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=0.85, seed=9, check_parity=True
+            graph, 0.5, RunConfig("mpc", alpha=0.85), seed=9,
+            check_parity=True,
         )
         assert_vertex_cover(square(graph), result.cover)
         assert payload["parity"] is True
@@ -108,7 +106,7 @@ class TestFullSolverParity:
     def test_mds_end_to_end(self):
         graph = gnp_graph(12, 0.25, seed=4)
         result, payload = solve_mds_mpc(
-            graph, alpha=0.9, seed=4, check_parity=True
+            graph, RunConfig("mpc", alpha=0.9), seed=4, check_parity=True,
         )
         assert_dominating_set(square(graph), result.cover)
         assert payload["parity"] is True
@@ -130,7 +128,9 @@ class TestFullSolverParity:
         def solver(network):
             return approx_mds_square(graph, network=network, samples=4)
 
-        result, net, report = solve_with_parity(solver, graph, alpha=0.9, seed=3)
+        result, net, report = solve_with_parity(
+            solver, graph, RunConfig("mpc", alpha=0.9), seed=3,
+        )
         assert report["parity"] is True
         assert report["rounds_compared"] > 0
 
@@ -281,7 +281,7 @@ class TestSerialExceptionIdentity:
 
         monkeypatch.setattr(parallel.ForkShardPool, "__init__", no_pool)
         result, _payload = solve_mvc_mpc(
-            gnp_graph(14, 0.3, seed=2), 0.5, alpha=0.9, compress="auto",
-            workers=1,
+            gnp_graph(14, 0.3, seed=2), 0.5,
+            RunConfig("mpc", alpha=0.9, compress="auto", workers=1),
         )
         assert result.cover

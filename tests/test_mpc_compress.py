@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RunConfig
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import BfsTreeAlgorithm
 from repro.core.estimation import EstimationStage
@@ -75,11 +76,8 @@ class TestCompressedStageParity:
     def test_stage_parity_helper_accepts_compress(self, compress):
         graph = gnp_graph(16, 0.2, seed=2)
         report = run_stage_parity(
-            graph,
-            [lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=3)],
-            alpha=0.9,
-            seed=2,
-            compress=compress,
+            graph, [lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=3)],
+            RunConfig("mpc", alpha=0.9, compress=compress), seed=2,
         )
         assert report["parity"] is True
         assert report["mpc"]["compress"] == compress
@@ -88,14 +86,15 @@ class TestCompressedStageParity:
     def test_full_solvers_with_shadow_check(self, compress):
         graph = gnp_graph(16, 0.2, seed=16)
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=16, check_parity=True,
-            compress=compress,
+            graph, 0.5, RunConfig("mpc", alpha=0.9, compress=compress),
+            seed=16, check_parity=True,
         )
         assert_vertex_cover(square(graph), result.cover)
         assert payload["parity"] is True
         graph = gnp_graph(12, 0.25, seed=4)
         _, payload = solve_mds_mpc(
-            graph, alpha=1.0, seed=4, check_parity=True, compress=compress
+            graph, RunConfig("mpc", alpha=1.0, compress=compress), seed=4,
+            check_parity=True,
         )
         assert payload["parity"] is True
 

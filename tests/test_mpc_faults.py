@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.faults import (
     DEFAULT_MAX_RECOVERIES,
     DegradedExecutionWarning,
@@ -129,8 +130,12 @@ def _outcome(graph, alpha, seed, compress, workers, faults=None):
     collector = MetricsCollector(label="faults-diff")
     try:
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=alpha, seed=seed, compress=compress,
-            collector=collector, workers=workers, faults=faults,
+            graph, 0.5,
+            RunConfig(
+                "mpc", alpha=alpha, compress=compress, workers=workers,
+                faults=faults,
+            ),
+            seed=seed, collector=collector,
         )
     except Exception as exc:
         return ("err", type(exc).__name__, str(exc))
@@ -181,7 +186,8 @@ class TestCrashRecoveryParity:
     def test_report_records_the_recovery(self):
         graph = gnp_graph(14, 0.3, seed=2)
         _result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=2, workers=2, faults="crash@2"
+            graph, 0.5,
+            RunConfig("mpc", alpha=0.9, workers=2, faults="crash@2"), seed=2,
         )
         report = payload["faults"]
         assert report["injected"]["crash"] == 1
@@ -194,7 +200,7 @@ class TestCrashRecoveryParity:
     def test_fault_free_payload_has_no_faults_key(self):
         graph = gnp_graph(12, 0.3, seed=1)
         _result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=1, workers=2
+            graph, 0.5, RunConfig("mpc", alpha=0.9, workers=2), seed=1,
         )
         assert "faults" not in payload
 
@@ -203,7 +209,8 @@ class TestCrashRecoveryParity:
         # never fire: the crash stays pending, and the run is clean.
         graph = gnp_graph(12, 0.3, seed=1)
         _result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=1, workers=1, faults="crash@1"
+            graph, 0.5,
+            RunConfig("mpc", alpha=0.9, workers=1, faults="crash@1"), seed=1,
         )
         report = payload["faults"]
         assert report["injected"]["crash"] == 0
@@ -223,14 +230,17 @@ class TestCrashRecoveryParity:
         graph = gnp_graph(12, 0.3, seed=1)
         collector = MetricsCollector(label="chaos")
         solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=1, workers=2, faults="crash@1",
+            graph, 0.5,
+            RunConfig("mpc", alpha=0.9, workers=2, faults="crash@1"), seed=1,
             collector=collector,
         )
         document = collector.to_json()
         assert document["variant"]["faults"]["recoveries"] == 1
         clean = MetricsCollector(label="chaos")
-        solve_mvc_mpc(graph, 0.5, alpha=0.9, seed=1, workers=2,
-                      collector=clean)
+        solve_mvc_mpc(
+            graph, 0.5, RunConfig("mpc", alpha=0.9, workers=2), seed=1,
+            collector=clean,
+        )
         assert "faults" not in clean.to_json()["variant"]
         assert (
             document["deterministic_sha256"]
@@ -263,8 +273,11 @@ class TestMemFault:
         for workers in (1, 2):
             with pytest.raises(MemoryBudgetExceeded) as excinfo:
                 solve_mvc_mpc(
-                    graph, 0.5, alpha=0.9, seed=2, workers=workers,
-                    faults="mem@3",
+                    graph, 0.5,
+                    RunConfig(
+                        "mpc", alpha=0.9, workers=workers, faults="mem@3"
+                    ),
+                    seed=2,
                 )
             errors[workers] = str(excinfo.value)
         assert errors[2] == errors[1]
@@ -274,7 +287,9 @@ class TestMemFault:
         graph = gnp_graph(14, 0.3, seed=2)
         with pytest.raises(MemoryBudgetExceeded, match="machine 2"):
             solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=2, workers=1, faults="mem@1:2"
+                graph, 0.5,
+                RunConfig("mpc", alpha=0.9, workers=1, faults="mem@1:2"),
+                seed=2,
             )
 
 
@@ -294,16 +309,22 @@ class TestDegradation:
         graph = gnp_graph(14, 0.3, seed=2)
         with pytest.warns(DegradedExecutionWarning):
             _result, payload = solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=2, workers=2,
-                faults="crash@1,crash@2,max_recoveries=0",
+                graph, 0.5,
+                RunConfig(
+                    "mpc", alpha=0.9, workers=2,
+                    faults="crash@1,crash@2,max_recoveries=0",
+                ),
+                seed=2,
             )
         report = payload["faults"]
         assert report["degraded"] is True
         assert report["max_recoveries"] == 0
         # Degradation is per stage pool: each solver stage builds a
         # fresh pool, so both crashes can fire (in different stages)
-        # and each one degrades its own pool.
-        assert report["recoveries"] >= 1
+        # and each one degrades its own pool.  With a zero budget no
+        # worker is ever respawned: crashes are detected, not recovered.
+        assert report["recoveries"] == 0
+        assert report["crash_detections"] >= 1
         assert report["injected"]["crash"] >= 1
 
 

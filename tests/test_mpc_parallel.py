@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.config import RunConfig
 from repro.congest.primitives import BfsTreeAlgorithm
 from repro.graphs.generators import build_graph, gnp_graph, path_graph
 from repro.metrics import MetricsCollector
@@ -370,8 +371,9 @@ def _compiled_outcome(graph, alpha, seed, compress, workers):
     collector = MetricsCollector(label="diff")
     try:
         result, payload = solve_mvc_mpc(
-            graph, 0.5, alpha=alpha, seed=seed, compress=compress,
-            collector=collector, workers=workers,
+            graph, 0.5,
+            RunConfig("mpc", alpha=alpha, compress=compress, workers=workers),
+            seed=seed, collector=collector,
         )
     except Exception as exc:
         return ("err", type(exc).__name__, str(exc))
@@ -409,8 +411,11 @@ class TestCompiledParity:
         for workers in (1, 2):
             collector = MetricsCollector(label="grid")
             _result, payload = solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=0, compress=compress,
-                collector=collector, workers=workers,
+                graph, 0.5,
+                RunConfig(
+                    "mpc", alpha=0.9, compress=compress, workers=workers
+                ),
+                seed=0, collector=collector,
             )
             payloads[workers] = payload
             metrics[workers] = collector.to_json()
@@ -464,7 +469,10 @@ class TestCompiledParity:
         errors = {}
         for workers in (1, 3):
             with pytest.raises(MemoryBudgetExceeded) as excinfo:
-                solve_mvc_mpc(graph, 0.5, alpha=0.3, seed=0, workers=workers)
+                solve_mvc_mpc(
+                    graph, 0.5, RunConfig("mpc", alpha=0.3, workers=workers),
+                    seed=0,
+                )
             errors[workers] = str(excinfo.value)
         assert errors[3] == errors[1]
 

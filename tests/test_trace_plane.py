@@ -21,6 +21,7 @@ import pytest
 
 import networkx as nx
 
+from repro.config import RunConfig
 from repro.core.mvc_congest import approx_mvc_square
 from repro.congest.network import CongestNetwork
 from repro.faults import DegradedExecutionWarning
@@ -159,8 +160,11 @@ class TestMpcSpans:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
             solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=0, compress=2,
-                workers=2, faults="crash@2", tracer=rec,
+                graph, 0.5,
+                RunConfig(
+                    "mpc", alpha=0.9, compress=2, workers=2, faults="crash@2"
+                ),
+                seed=0, tracer=rec,
             )
         summary = validate_trace(rec.to_json())
         names = set(summary["names"])
@@ -180,7 +184,8 @@ class TestMpcSpans:
         graph = nx.gnp_random_graph(18, 0.3, seed=7)
         rec = TraceRecorder()
         solve_mvc_mpc(
-            graph, 0.5, alpha=0.9, seed=0, compress=2, workers=1, tracer=rec,
+            graph, 0.5, RunConfig("mpc", alpha=0.9, compress=2, workers=1),
+            seed=0, tracer=rec,
         )
         document = rec.to_json()
         summary = validate_trace(document)
@@ -221,8 +226,9 @@ class TestObserverContract:
             collector = MetricsCollector(label="mpc-mds")
             tracer = TraceRecorder() if traced else None
             _result, payload = solve_mds_mpc(
-                graph, alpha=1.0, seed=0, compress="auto",
-                collector=collector, workers=workers, tracer=tracer,
+                graph,
+                RunConfig("mpc", alpha=1.0, compress="auto", workers=workers),
+                seed=0, collector=collector, tracer=tracer,
             )
             digests[traced] = _digest(payload)
             shas[traced] = collector.to_json()["deterministic_sha256"]
@@ -239,8 +245,9 @@ class TestObserverContract:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedExecutionWarning)
                 _result, payload = solve_mvc_mpc(
-                    graph, 0.5, alpha=0.9, seed=0,
-                    workers=2, faults="crash@2", tracer=tracer,
+                    graph, 0.5,
+                    RunConfig("mpc", alpha=0.9, workers=2, faults="crash@2"),
+                    seed=0, tracer=tracer,
                 )
             digests[traced] = _digest(payload)
         assert digests[False] == digests[True]
