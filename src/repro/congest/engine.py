@@ -29,7 +29,8 @@ Three engine configurations implement the same synchronous-round semantics:
 A fourth :class:`Engine` subclass, ``"mpc"``, lives with the CONGEST-to-MPC
 compiler (:mod:`repro.mpc.compile_congest`): an
 :class:`~repro.mpc.compile_congest.MPCCongestNetwork` installs it in place
-of the three above and runs the same rounds on low-space MPC machines.
+of the three above and runs the same rounds on low-space MPC machines,
+collecting outboxes through v2's :class:`OutboxMeter`.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -372,56 +373,16 @@ class ActivityEngine(Engine):
     ``"v2-dict"``) batches expand through the same per-message loop as
     dictionary outboxes, reproducing the engine exactly as it behaved
     before batching existed.  Both configurations satisfy the parity
-    contract; only wall-clock differs.
+    contract; only wall-clock differs.  Collection is the network's
+    :class:`OutboxMeter`.
     """
 
     def __init__(
         self, network: "CongestNetwork", batch_fast_path: bool = True
     ) -> None:
         super().__init__(network)
-        from repro.congest.clique import CongestedCliqueNetwork
-        from repro.congest.network import CongestNetwork
-
         self.name = "v2" if batch_fast_path else "v2-dict"
-        self._batch_fast_path = batch_fast_path
-        #: payload value -> word cost, shared across runs on this network
-        #: (word size is fixed per network, so keys need not include it).
-        self._words_cache: dict[Any, int] = {}
-        #: Whether ``_can_send`` is one of the two stock rules.  A subclass
-        #: override must stay honored per target, so trusted batches lose
-        #: their validation shortcut on such networks.
-        self._stock_can_send = type(network)._can_send in (
-            CongestNetwork._can_send,
-            CongestedCliqueNetwork._can_send,
-        )
-        #: Plain-CONGEST adjacency (not clique, not overridden) — the only
-        #: rule the vectorized membership test knows how to evaluate.
-        self._plain_adjacency = (
-            type(network)._can_send is CongestNetwork._can_send
-        )
-        #: Nodes whose adjacency contains themselves (graphs with self
-        #: loops).  A trusted broadcast from such a node must raise the
-        #: reference loop's "addressed itself" error, so it is demoted to
-        #: the validating path.
-        self._self_loops = frozenset(
-            node_id
-            for node_id, neighbors in network._adjacency_sets.items()
-            if node_id in neighbors
-        )
-        #: node id -> numpy array of its neighbors, built lazily for the
-        #: vectorized validation of untrusted batches.
-        self._nbr_arrays: dict[int, Any] = {}
-        #: Broadcast batches need no per-node trust decision at all when
-        #: the adjacency rule is stock and the graph has no self loops.
-        self._trust_broadcasts = self._stock_can_send and not self._self_loops
-        #: Overridden ``_meter`` resolved once — the network's class is
-        #: fixed for the engine's lifetime, so the virtual-dispatch check
-        #: need not be repeated on every outbox.
-        self._custom_meter = (
-            type(network)._meter
-            if type(network)._meter is not CongestNetwork._meter
-            else None
-        )
+        self._meter = OutboxMeter(network, batch_fast_path)
 
     def run(
         self,
@@ -438,9 +399,10 @@ class ActivityEngine(Engine):
         )
         ring = MailboxRing(network.n)
         scheduler = ActivityScheduler(network.n)
+        collect = self._meter.collect
 
         for alg in algorithms:
-            self._collect(alg, alg.on_start(), ring, stats)
+            collect(alg.node.id, alg.on_start(), ring, stats)
             if alg.done:
                 scheduler.node_finished()
             elif alg.wants_wake():
@@ -470,7 +432,7 @@ class ActivityEngine(Engine):
                     continue
                 awake += 1
                 outbox = alg.on_round(ring.inbox(node_id))
-                self._collect(alg, outbox, ring, stats)
+                collect(node_id, outbox, ring, stats)
                 if alg.done:
                     scheduler.node_finished()
                 elif alg.wants_wake():
@@ -509,13 +471,95 @@ class ActivityEngine(Engine):
                 label,
             )
 
-    def _collect(
+
+class OutboxMeter:
+    """Engine v2's validate-and-meter path for one network's outboxes.
+
+    The single copy of v2's collection logic, shared by
+    :class:`ActivityEngine` and the compiled MPC shards
+    (:mod:`repro.mpc.compile_congest`): the value-keyed payload-cost cache
+    (:meth:`words`), the per-message loop with its identity memo, and —
+    with ``batch_fast_path`` — the :class:`BatchOutbox` fast path, whose
+    trusted broadcasts cost one strictness check and an O(1)
+    :class:`~repro.congest.network.RunStats` update.
+
+    Delivery goes to a *sink*: ``post(sender, target, payload, words)``
+    per message and ``post_batch(sender, targets, payload, words)`` per
+    batch, where ``words`` is the payload cost just metered.  Engine v2's
+    sink is its :class:`~repro.congest.scheduler.MailboxRing`, which
+    ignores the cost; the compiled shards' sink charges it to the
+    machines' shuffle loads, so every payload is sized once.
+    """
+
+    def __init__(
+        self, network: "CongestNetwork", batch_fast_path: bool = True
+    ) -> None:
+        from repro.congest.clique import CongestedCliqueNetwork
+        from repro.congest.network import CongestNetwork
+
+        self.network = network
+        self._batch_fast_path = batch_fast_path
+        #: payload value -> word cost, shared across runs on this network
+        #: (word size is fixed per network, so keys need not include it).
+        self._words_cache: dict[Any, int] = {}
+        #: Whether ``_can_send`` is one of the two stock rules.  A subclass
+        #: override must stay honored per target, so trusted batches lose
+        #: their validation shortcut on such networks.
+        self._stock_can_send = type(network)._can_send in (
+            CongestNetwork._can_send,
+            CongestedCliqueNetwork._can_send,
+        )
+        #: Plain-CONGEST adjacency (not clique, not overridden) — the only
+        #: rule the vectorized membership test knows how to evaluate.
+        self._plain_adjacency = (
+            type(network)._can_send is CongestNetwork._can_send
+        )
+        #: Nodes whose adjacency contains themselves (graphs with self
+        #: loops).  A trusted broadcast from such a node must raise the
+        #: reference loop's "addressed itself" error, so it is demoted to
+        #: the validating path.
+        self._self_loops = frozenset(
+            node_id
+            for node_id, neighbors in network._adjacency_sets.items()
+            if node_id in neighbors
+        )
+        #: node id -> numpy array of its neighbors, built lazily for the
+        #: vectorized validation of untrusted batches.
+        self._nbr_arrays: dict[int, Any] = {}
+        #: Broadcast batches need no per-node trust decision at all when
+        #: the adjacency rule is stock and the graph has no self loops.
+        self._trust_broadcasts = self._stock_can_send and not self._self_loops
+        #: Overridden ``_meter`` resolved once — the network's class is
+        #: fixed for the meter's lifetime, so the virtual-dispatch check
+        #: need not be repeated on every outbox.
+        self._custom_meter = (
+            type(network)._meter
+            if type(network)._meter is not CongestNetwork._meter
+            else None
+        )
+
+    def words(self, payload: Any) -> int:
+        """``payload_words(payload)``, cached by value where that is sound."""
+        key = _payload_cache_key(payload)
+        if key is _UNCACHEABLE:
+            return payload_words(payload, self.network.word_bits)
+        cache = self._words_cache
+        cached = cache.get(key)
+        if cached is None:
+            if len(cache) >= _CACHE_LIMIT:
+                cache.clear()
+            cached = payload_words(payload, self.network.word_bits)
+            cache[key] = cached
+        return cached
+
+    def collect(
         self,
-        alg: "NodeAlgorithm",
+        sender: int,
         outbox: Mapping[int, Any] | BatchOutbox | None,
-        ring: MailboxRing,
+        sink: Any,
         stats: "RunStats",
     ) -> None:
+        """Validate, meter and deliver one node's outbox into ``sink``."""
         if not outbox:
             return
         # Metering below is an inlined fast path of CongestNetwork._meter;
@@ -528,16 +572,15 @@ class ActivityEngine(Engine):
             and self._batch_fast_path
             and type(outbox) is BatchOutbox
         ):
-            self._collect_batch(alg, outbox, ring, stats)
+            self._collect_batch(sender, outbox, sink, stats)
             return
         network = self.network
         n = network.n
-        word_bits = network.word_bits
         word_limit = network.word_limit
         strict = network.strict
         cut = network._cut
-        cache = self._words_cache
-        sender = alg.node.id
+        word_cost = self.words
+        post = sink.post
         # Broadcasts reuse one payload object for every neighbor; a
         # single-slot identity memo skips even the cache lookup for them.
         prev_payload: Any = _UNCACHEABLE
@@ -556,28 +599,12 @@ class ActivityEngine(Engine):
                 )
             if custom_meter is not None:
                 custom_meter(network, sender, target, payload, stats)
-                ring.post(sender, target, payload)
+                post(sender, target, payload, word_cost(payload))
                 continue
             if payload is prev_payload:
                 words = prev_words
             else:
-                key = _payload_cache_key(payload)
-                if key is _UNCACHEABLE:
-                    words = payload_words(payload, word_bits)
-                else:
-                    cached = cache.get(key)
-                    if cached is None:
-                        if len(cache) >= _CACHE_LIMIT:
-                            cache.clear()
-                            # The identity memo must not outlive the value
-                            # cache: dropping one but not the other would
-                            # let a pathological workload pair a recycled
-                            # payload identity with a stale cost.
-                            prev_payload = _UNCACHEABLE
-                            prev_words = 0
-                        cached = payload_words(payload, word_bits)
-                        cache[key] = cached
-                    words = cached
+                words = word_cost(payload)
                 prev_payload = payload
                 prev_words = words
             if words > word_limit and strict:
@@ -585,7 +612,7 @@ class ActivityEngine(Engine):
                     f"message {network.label_of(sender)!r} -> "
                     f"{network.label_of(target)!r} is {words} words but the "
                     f"per-edge budget is {word_limit} words of "
-                    f"{word_bits} bits"
+                    f"{network.word_bits} bits"
                 )
             stats.messages += 1
             stats.total_words += words
@@ -593,15 +620,15 @@ class ActivityEngine(Engine):
                 stats.max_words_per_edge_round = words
             if cut and frozenset((sender, target)) in cut:
                 stats.cut_words += words
-            ring.post(sender, target, payload)
+            post(sender, target, payload, words)
 
     # -- batched outbox fast path ------------------------------------------
 
     def _collect_batch(
         self,
-        alg: "NodeAlgorithm",
+        sender: int,
         outbox: BatchOutbox,
-        ring: MailboxRing,
+        sink: Any,
         stats: "RunStats",
     ) -> None:
         """Meter and deliver a uniform-payload batch in O(1) + delivery.
@@ -616,7 +643,6 @@ class ActivityEngine(Engine):
         it raises (a run that raises never reports stats).
         """
         network = self.network
-        sender = alg.node.id
         targets = outbox.targets
         payload = outbox.payload
         trusted = outbox.trusted and (
@@ -625,25 +651,13 @@ class ActivityEngine(Engine):
         )
         if not trusted:
             self._validate_targets(sender, targets[:1])
-        word_bits = network.word_bits
-        cache = self._words_cache
-        key = _payload_cache_key(payload)
-        if key is _UNCACHEABLE:
-            words = payload_words(payload, word_bits)
-        else:
-            cached = cache.get(key)
-            if cached is None:
-                if len(cache) >= _CACHE_LIMIT:
-                    cache.clear()
-                cached = payload_words(payload, word_bits)
-                cache[key] = cached
-            words = cached
+        words = self.words(payload)
         if words > network.word_limit and network.strict:
             raise CongestionError(
                 f"message {network.label_of(sender)!r} -> "
                 f"{network.label_of(targets[0])!r} is {words} words but the "
                 f"per-edge budget is {network.word_limit} words of "
-                f"{word_bits} bits"
+                f"{network.word_bits} bits"
             )
         if not trusted:
             self._validate_targets(sender, targets[1:])
@@ -657,7 +671,7 @@ class ActivityEngine(Engine):
             for target in targets:
                 if frozenset((sender, target)) in cut:
                     stats.cut_words += words
-        ring.post_batch(sender, targets, payload)
+        sink.post_batch(sender, targets, payload, words)
 
     def _validate_targets(self, sender: int, targets: tuple[int, ...]) -> None:
         """Reference-order validation of untrusted batch targets.

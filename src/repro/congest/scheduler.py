@@ -59,13 +59,24 @@ class MailboxRing:
         self._front_dirty: set[int] = set()
         self._back_dirty: set[int] = set()
 
-    def post(self, sender: int, target: int, payload: Any) -> None:
-        """Queue ``payload`` for delivery to ``target`` next round."""
+    def post(
+        self, sender: int, target: int, payload: Any, words: int = 0
+    ) -> None:
+        """Queue ``payload`` for delivery to ``target`` next round.
+
+        ``words`` is the payload cost the engine just metered (the
+        :class:`~repro.congest.engine.OutboxMeter` sink protocol);
+        delivery never depends on it.
+        """
         self._back[target][sender] = payload
         self._back_dirty.add(target)
 
     def post_batch(
-        self, sender: int, targets: Iterable[int], payload: Any
+        self,
+        sender: int,
+        targets: Iterable[int],
+        payload: Any,
+        words: int = 0,
     ) -> None:
         """Queue one ``payload`` for every target in ``targets``.
 

@@ -50,6 +50,7 @@ from repro.mpc.runtime import (
     MPCRunResult,
     MPCRunStats,
     MPCRuntime,
+    ShuffleLoads,
     ShuffleRecord,
 )
 
@@ -67,6 +68,7 @@ __all__ = [
     "MatchingResult",
     "MemoryBudgetExceeded",
     "ParityError",
+    "ShuffleLoads",
     "ShuffleRecord",
     "WORKERS_ENV_VAR",
     "WorkerCrashError",

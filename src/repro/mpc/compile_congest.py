@@ -30,17 +30,29 @@ identical to engine v2 at every ``k`` (the parity harness asserts it).
 
 Two ledgers are kept at once, and that is the point:
 
-* the **CONGEST ledger** — the inherited
-  :meth:`~repro.congest.network.CongestNetwork._collect` validates and
-  meters every (sender, target, payload) exactly as the reference engine
-  does, so ``RunResult`` outputs, ``RunStats`` and traces are word-for-word
-  identical to engines v1/v2 on the same graph and seed (the *parity
-  claim*, asserted by :func:`solve_with_parity` against a live engine-v2
-  shadow network consuming the per-round ``RoundEvent`` stream);
+* the **CONGEST ledger** — engine v2's
+  :class:`~repro.congest.engine.OutboxMeter` validates and meters every
+  (sender, target, payload) in the shards, so ``RunResult`` outputs,
+  ``RunStats`` and traces are word-for-word identical to engines v1/v2 on
+  the same graph and seed (the *parity claim*, asserted by
+  :func:`solve_with_parity` against a live engine-v2 shadow network
+  consuming the per-round ``RoundEvent`` stream);
 * the **MPC ledger** — the runtime meters shuffle words, per-machine
   send/receive loads and budget violations, which is where ``alpha``
   bites: smaller budgets mean more machines, more cross traffic and
   eventually :class:`~repro.mpc.machine.MemoryBudgetExceeded`.
+
+Each payload is sized once, when a shard collects it: the same word count
+enters the CONGEST ledger and, for a message between machines, the
+envelope cost (``ENVELOPE_HEADER_WORDS`` plus the payload) that the shard
+adds to per-machine :class:`~repro.mpc.runtime.ShuffleLoads`.  Loads are
+sums, so the parent adds the shards' integers and hands them to
+:meth:`MPCRuntime.shuffle <repro.mpc.runtime.MPCRuntime.shuffle>`, which
+checks the budgets and books them; the window planner builds a
+compressed window's prefetch loads from the same per-message counts.
+Metering in the shards is legitimate
+for the reason component stability ([CzumajDP21]_) names: no ledger may
+depend on how machines are laid out on shards, and a sum cannot.
 
 There is one round loop, in the ``"mpc"`` :class:`~repro.congest.engine.Engine`
 that the network installs in place of the CONGEST engines (so
@@ -62,15 +74,15 @@ in sublinear space.
 from __future__ import annotations
 
 import collections
+import pickle
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import networkx as nx
 
 from repro.config import RunConfig
-from repro.congest.engine import Engine
+from repro.congest.engine import Engine, OutboxMeter
 from repro.congest.errors import RoundLimitError
-from repro.congest.message import payload_words
 from repro.congest.network import (
     AlgorithmFactory,
     CongestNetwork,
@@ -81,12 +93,17 @@ from repro.congest.network import (
 from repro.mpc import parallel as _parallel
 from repro.mpc.machine import Machine, memory_budget
 from repro.mpc.partition import partition_vertices
-from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
+from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime, ShuffleLoads
 
 #: Window cap used by ``compress="auto"``: the planner probes windows up
 #: to this length and the peak-hold estimator throttles the probing when
 #: frontiers are persistently far over budget.
 AUTO_COMPRESS_CAP = 8
+
+#: Words of a shuffled CONGEST message beyond its payload: the routing
+#: header plus the ``(sender, target)`` ids of its envelope.  A node id is
+#: below ``n < 2**word_bits``, so it always costs one word.
+ENVELOPE_HEADER_WORDS = ENVELOPE_WORDS + 2
 
 
 class ParityError(AssertionError):
@@ -143,6 +160,13 @@ class MPCCongestNetwork(CongestNetwork):
         self.budget_words = memory_budget(self.n, alpha)
         self.assignment = partition_vertices(graph, self.budget_words, seed=seed)
         self._host = self.assignment.machine_of
+        #: node id -> hosts of its off-machine neighbors, one entry per
+        #: neighbor: the machines a broadcast from the node ships to.
+        host_of = self._host.__getitem__
+        self._cross_hosts: list[tuple[int, ...]] = [
+            tuple([h for h in map(host_of, self._adjacency[u]) if h != own])
+            for u, own in enumerate(self._host)
+        ]
         self.machines = [
             Machine(mid, self.budget_words)
             for mid in range(self.assignment.num_machines)
@@ -157,22 +181,18 @@ class MPCCongestNetwork(CongestNetwork):
         # compressed window (all graph-static, so one build serves every
         # run on this network).
         self._hop_dist: list[dict[int, int]] | None = None
-        self._state_payloads: list[tuple[int, ...]] | None = None
         self._state_costs: list[int] | None = None
-        self._watchers: dict[int, list[tuple[int, ...]]] = {}
         # radius -> per-node tuple of machines at hop distance *exactly*
         # that radius (radius 0 is the host).  The window planner walks
         # candidate lengths incrementally through these deltas instead of
         # re-counting the whole frontier per candidate.
         self._delta_watchers: dict[int, list[tuple[int, ...]]] = {}
-        # radius -> cumulative per-machine (in, out) words of *state*
-        # shipping for a window of radius r.  These loads depend only on
-        # the graph and partition — never on the pending messages — so
-        # they are computed once per radius and reused by every window the
-        # planner evaluates afterwards (see planner_stats for the pin).
-        self._state_load_cache: dict[
-            int, tuple[tuple[int, ...], tuple[int, ...]]
-        ] = {}
+        # radius -> cumulative shuffle loads of *state* shipping for a
+        # window of radius r.  These loads depend only on the graph and
+        # partition — never on the pending messages — so they are computed
+        # once per radius and reused by every window planned afterwards
+        # (see planner_stats for the pin).
+        self._state_load_cache: dict[int, ShuffleLoads] = {}
         #: Window-planner work counters: ``windows_planned`` counts full
         #: candidate scans, ``state_radii_built`` counts (once-per-radius)
         #: static frontier-load builds — the latter stays bounded by the
@@ -246,37 +266,6 @@ class MPCCongestNetwork(CongestNetwork):
                 shards.append(nodes)
         return shards
 
-    def _shuffle_round(
-        self, pending: dict[int, dict[int, Any]], live_machines: int
-    ) -> dict[int, dict[int, Any]]:
-        """Route one CONGEST round's messages through one MPC shuffle."""
-        host = self._host
-        outboxes: list[list[tuple[int, Any]]] = [
-            [] for _ in range(self.num_machines)
-        ]
-        inboxes: dict[int, dict[int, Any]] = collections.defaultdict(dict)
-        for target, senders in pending.items():
-            target_host = host[target]
-            box = inboxes[target]
-            for sender, payload in senders.items():
-                if host[sender] == target_host:
-                    box[sender] = payload
-                else:
-                    outboxes[host[sender]].append(
-                        (target_host, (sender, target, payload))
-                    )
-        delivered = self.runtime.shuffle(outboxes, active=live_machines)
-        for envelopes in delivered:
-            for _src, (sender, target, payload) in envelopes:
-                inboxes[target][sender] = payload
-        # Reference inbox order: ascending sender id (the order the
-        # per-message loop inserts).  Local and shuffled messages arrive
-        # interleaved here, so normalize.
-        for target, box in inboxes.items():
-            if len(box) > 1:
-                inboxes[target] = dict(sorted(box.items()))
-        return inboxes
-
     # -- round compression --------------------------------------------------
 
     def _ensure_frontier_tables(self) -> None:
@@ -287,7 +276,8 @@ class MPCCongestNetwork(CongestNetwork):
         minus one hop by multi-source BFS; nodes further away are absent.
         The state payload of node ``u`` is its id plus its adjacency tuple
         — exactly the words hosting ``u`` costs — which is what a machine
-        prefetches to replay ``u`` locally during a compressed window.
+        prefetches to replay ``u`` locally during a compressed window; its
+        shuffle cost is one envelope word plus one word per id.
         """
         if self._hop_dist is not None:
             return
@@ -310,46 +300,23 @@ class MPCCongestNetwork(CongestNetwork):
                     break
             hop_dist.append(dist)
         self._hop_dist = hop_dist
-        self._state_payloads = [
-            (u,) + self._adjacency[u] for u in range(self.n)
-        ]
         self._state_costs = [
-            ENVELOPE_WORDS + payload_words(payload, self.word_bits)
-            for payload in self._state_payloads
+            ENVELOPE_WORDS + 1 + len(self._adjacency[u]) for u in range(self.n)
         ]
-
-    def _watchers_at(self, radius: int) -> list[tuple[int, ...]]:
-        """Per node: the machines whose hosted set is within ``radius``.
-
-        Machine ``mid`` "watches" node ``u`` at radius ``r`` when some
-        hosted vertex of ``mid`` lies within ``r`` hops of ``u`` — then a
-        compressed window of ``r + 1`` rounds obliges ``mid`` to prefetch
-        ``u``'s state and any message addressed to ``u``.  The host
-        machine always watches its own nodes (distance 0) and is filtered
-        at use sites, where its copies are free.
-        """
-        cached = self._watchers.get(radius)
-        if cached is not None:
-            return cached
-        self._ensure_frontier_tables()
-        watcher_lists: list[list[int]] = [[] for _ in range(self.n)]
-        for mid, dist in enumerate(self._hop_dist):
-            for u, d in dist.items():
-                if d <= radius:
-                    watcher_lists[u].append(mid)
-        cached = [tuple(machines) for machines in watcher_lists]
-        self._watchers[radius] = cached
-        return cached
 
     def _delta_watchers_at(self, radius: int) -> list[tuple[int, ...]]:
         """Per node: the machines at hop distance *exactly* ``radius``.
 
-        The incremental complement of :meth:`_watchers_at`: the watcher
-        set at radius ``r`` is the disjoint union of the deltas at radii
-        ``0..r`` (radius 0 being the host machine), so the window planner
-        can extend a candidate's frontier loads to the next candidate by
-        applying one delta instead of re-counting every message against
-        every watcher.  Graph-static, cached per radius across windows.
+        Machine ``mid`` "watches" node ``u`` at radius ``r`` when some
+        hosted vertex of ``mid`` lies within ``r`` hops of ``u`` — then a
+        compressed window of ``r + 1`` rounds obliges ``mid`` to prefetch
+        ``u``'s state and any message addressed to ``u``.  The watcher set
+        at radius ``r`` is the disjoint union of these deltas at radii
+        ``0..r`` (radius 0 being the host machine, whose copies are free),
+        so the window planner can extend a candidate's frontier loads to
+        the next candidate by applying one delta instead of re-counting
+        every message against every watcher.  Graph-static, cached per
+        radius across windows.
         """
         cached = self._delta_watchers.get(radius)
         if cached is not None:
@@ -367,18 +334,16 @@ class MPCCongestNetwork(CongestNetwork):
         self._delta_watchers[radius] = cached
         return cached
 
-    def _state_loads_upto(
-        self, radius: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Cumulative per-machine (in, out) *state*-shipping words.
+    def _state_loads_upto(self, radius: int) -> ShuffleLoads:
+        """Cumulative shuffle loads of *state* shipping up to ``radius``.
 
         The state half of a window's frontier — every foreign node's id
         plus adjacency within ``radius`` hops of each machine's hosted
         set — depends only on the graph and the partition, never on the
-        pending messages, yet the planner used to re-count it for every
-        window of every shuffle.  Each radius is now built once (from the
-        previous radius plus one watcher delta), cached for the lifetime
-        of the network, and shared by every window planned afterwards;
+        pending messages.  Each radius is built once (from the previous
+        radius plus one watcher delta), cached for the lifetime of the
+        network, and shared by every window planned afterwards, which
+        reads it without mutating it;
         ``planner_stats["state_radii_built"]`` pins the build count.
         """
         cached = self._state_load_cache.get(radius)
@@ -386,11 +351,13 @@ class MPCCongestNetwork(CongestNetwork):
             return cached
         if radius == 0:
             # Radius 0 is the host machine's own nodes: no state ships.
-            cached = ((0,) * self.num_machines, (0,) * self.num_machines)
+            cached = ShuffleLoads.zeros(self.num_machines)
         else:
-            prev_in, prev_out = self._state_loads_upto(radius - 1)
-            in_words = list(prev_in)
-            out_words = list(prev_out)
+            prev = self._state_loads_upto(radius - 1)
+            in_words = list(prev.in_words)
+            out_words = list(prev.out_words)
+            messages = prev.messages
+            words = prev.words
             delta = self._delta_watchers_at(radius)
             state_costs = self._state_costs
             host = self._host
@@ -399,29 +366,43 @@ class MPCCongestNetwork(CongestNetwork):
                 if not added:
                     continue
                 cost = state_costs[u]
-                u_host = host[u]
                 for mid in added:
                     in_words[mid] += cost
-                    out_words[u_host] += cost
-            cached = (tuple(in_words), tuple(out_words))
+                shipped = cost * len(added)
+                out_words[host[u]] += shipped
+                messages += len(added)
+                words += shipped
+            cached = ShuffleLoads(in_words, out_words, messages, words)
             self.planner_stats["state_radii_built"] += 1
         self._state_load_cache[radius] = cached
         return cached
 
-    def _plan_window(self, pending: dict[int, dict[int, Any]]) -> int:
-        """Adaptively choose this window's length ``k``.
+    def _plan_window(
+        self, costs: dict[int, dict[int, int]] | None
+    ) -> tuple[int, ShuffleLoads | None]:
+        """Adaptively choose this window's length ``k`` and its prefetch.
 
         Returns the largest ``k`` up to the window cap (``compress``, or
         ``AUTO_COMPRESS_CAP`` for ``compress="auto"``) such that every
-        machine's prefetched frontier — neighbor state within ``k - 1``
-        hops plus every pending message addressed into that neighborhood,
-        word-counted exactly as :meth:`_prefetch_window` will ship them —
-        fits both sides (send and receive) of every machine's
-        :meth:`~repro.mpc.machine.Machine.window_budget_words`.  Frontiers
-        grow monotonically with ``k``, so the scan stops at the first
-        radius that no longer fits; when even ``k = 2`` does not fit the
-        window degrades to the classical one-round-one-shuffle path
-        (``k = 1``) instead of raising.
+        machine's prefetched frontier fits both sides (send and receive)
+        of every machine's
+        :meth:`~repro.mpc.machine.Machine.window_budget_words`, together
+        with that frontier's :class:`~repro.mpc.runtime.ShuffleLoads` —
+        the prefetch shuffle the loop meters (``None`` when ``k = 1``).
+        A machine prefetches (a) the state payload — id plus adjacency —
+        of each foreign node within ``k - 1`` hops of its hosted set, and
+        (b) a copy of each pending message whose target lies in that
+        neighborhood: exactly what it needs to replay the window's rounds
+        for its own vertices without further communication.  Messages are
+        deliberately *replicated* to every watching machine; that fan-out
+        is the real word cost of graph exponentiation.  Message costs come
+        from the payload words ``costs[target][sender]`` the shards metered
+        when they collected the messages, so nothing is sized again, and
+        no envelope is built: the replay delivers locally.  Frontiers grow
+        monotonically with ``k``, so the scan stops at the first radius
+        that no longer fits; when even ``k = 2`` does not fit the window
+        degrades to the classical one-round-one-shuffle path (``k = 1``)
+        instead of raising.
 
         The candidate scan is incremental, and split by what varies: the
         *state* half of every candidate's loads is pending-independent
@@ -438,31 +419,27 @@ class MPCCongestNetwork(CongestNetwork):
         peak says even the smallest window is hopelessly over budget.
         """
         if self._max_compress <= 1:
-            return 1
+            return 1, None
         estimator = self._estimator
         if estimator is not None and estimator.should_skip():
             estimator.window_skipped()
-            return 1
+            return 1, None
         self._ensure_frontier_tables()
         self.planner_stats["windows_planned"] += 1
         budgets = [m.window_budget_words() for m in self.machines]
         host = self._host
-        num_machines = self.num_machines
         msgs_by_target: dict[int, list[tuple[int, int]]] = {}
-        for target, senders in pending.items():
+        for target, senders in costs.items():
             if not senders:
                 continue
             msgs_by_target[target] = [
-                (
-                    host[sender],
-                    ENVELOPE_WORDS
-                    + payload_words((sender, target, payload), self.word_bits),
-                )
-                for sender, payload in senders.items()
+                (host[sender], ENVELOPE_HEADER_WORDS + words)
+                for sender, words in senders.items()
             ]
-        msg_in = [0] * num_machines
-        msg_out = [0] * num_machines
-        best = 1
+        msg_in = [0] * self.num_machines
+        msg_out = [0] * self.num_machines
+        messages = words = 0
+        best, best_loads = 1, None
         for k in range(2, self._max_compress + 1):
             # Candidate k needs the frontier at radius k-1; extend the
             # carried message loads by the missing radii (0..k-1 for the
@@ -477,81 +454,119 @@ class MPCCongestNetwork(CongestNetwork):
                             if mid != sender_host:
                                 msg_in[mid] += cost
                                 msg_out[sender_host] += cost
-            state_in, state_out = self._state_loads_upto(k - 1)
+                                messages += 1
+                                words += cost
+            state = self._state_loads_upto(k - 1)
+            in_words = [a + b for a, b in zip(state.in_words, msg_in)]
+            out_words = [a + b for a, b in zip(state.out_words, msg_out)]
             if estimator is not None and k == 2:
                 estimator.observe(
                     max(
-                        max(
-                            state_in[mid] + msg_in[mid],
-                            state_out[mid] + msg_out[mid],
-                        ) / budgets[mid]
-                        for mid in range(num_machines)
+                        max(load_in, load_out) / budget
+                        for load_in, load_out, budget in zip(
+                            in_words, out_words, budgets
+                        )
                     )
                 )
             if any(
-                state_in[mid] + msg_in[mid] > budgets[mid]
-                or state_out[mid] + msg_out[mid] > budgets[mid]
-                for mid in range(num_machines)
+                load_in > budget or load_out > budget
+                for load_in, load_out, budget in zip(
+                    in_words, out_words, budgets
+                )
             ):
                 break
             best = k
+            best_loads = ShuffleLoads(
+                in_words, out_words, state.messages + messages,
+                state.words + words,
+            )
         if estimator is not None:
             estimator.record_choice(best)
-        return best
+        return best, best_loads
 
-    def _prefetch_window(
-        self,
-        pending: dict[int, dict[int, Any]],
-        window: int,
-        live_machines: int,
-    ) -> None:
-        """Ship a ``window``-round frontier through one metered shuffle.
 
-        Every machine receives (a) the state payload — id plus adjacency
-        — of each foreign node within ``window - 1`` hops of its hosted
-        set, and (b) a copy of each pending message whose target lies in
-        that neighborhood: exactly what it needs to replay the window's
-        rounds for its own vertices without further communication.
-        Messages are deliberately *replicated* to every watching machine;
-        that fan-out is the real word cost of graph exponentiation and is
-        what the window planner budgeted.
-        """
-        watchers = self._watchers_at(window - 1)
-        host = self._host
-        outboxes: list[list[tuple[int, Any]]] = [
-            [] for _ in range(self.num_machines)
-        ]
-        for u in range(self.n):
-            node_host = host[u]
-            payload = self._state_payloads[u]
-            for mid in watchers[u]:
-                if mid != node_host:
-                    outboxes[node_host].append((mid, payload))
-        for target, senders in pending.items():
-            for sender, payload in senders.items():
-                sender_host = host[sender]
-                envelope = (sender, target, payload)
-                for mid in watchers[target]:
-                    if mid != sender_host:
-                        outboxes[sender_host].append((mid, envelope))
-        self.runtime.shuffle(
-            outboxes, active=live_machines, congest_rounds=window
+class _LoadSink:
+    """Where a compiled shard's :class:`OutboxMeter` delivers one step.
+
+    ``pending`` collects each target's ``{sender: payload}`` inbox (in
+    ascending sender order, since the shard runs its nodes in ascending
+    order).  Every message between nodes on different machines is an
+    envelope of the next shuffle: its cost — ``ENVELOPE_HEADER_WORDS``
+    plus the payload words the meter just computed — is added to the
+    sender machine's ``out_words`` and the target machine's ``in_words``.
+    With ``track_costs`` (compressed runs) the payload words of every
+    message are also kept in ``costs[target][sender]`` for the window
+    planner, which builds the prefetch loads from them.  A target keeps
+    one payload per sender, so a duplicate ``send_many`` target ships
+    (and is charged) once.
+    """
+
+    __slots__ = (
+        "pending", "costs", "in_words", "out_words", "messages", "words",
+        "_host", "_adjacency", "_cross_hosts",
+    )
+
+    def __init__(self, net: MPCCongestNetwork, track_costs: bool) -> None:
+        self.pending: dict[int, dict[int, Any]] = collections.defaultdict(dict)
+        self.costs: dict[int, dict[int, int]] | None = (
+            collections.defaultdict(dict) if track_costs else None
+        )
+        self.in_words = [0] * net.num_machines
+        self.out_words = [0] * net.num_machines
+        self.messages = 0
+        self.words = 0
+        self._host = net._host
+        self._adjacency = net._adjacency
+        self._cross_hosts = net._cross_hosts
+
+    def loads(self) -> ShuffleLoads:
+        return ShuffleLoads(
+            self.in_words, self.out_words, self.messages, self.words
         )
 
-    def _local_inboxes(
-        self, pending: dict[int, dict[int, Any]]
-    ) -> dict[int, dict[int, Any]]:
-        """Deliver a replayed round's messages without a shuffle.
+    def post(self, sender: int, target: int, payload: Any, words: int) -> None:
+        self.pending[target][sender] = payload
+        if self.costs is not None:
+            self.costs[target][sender] = words
+        sender_host = self._host[sender]
+        target_host = self._host[target]
+        if sender_host != target_host:
+            cost = ENVELOPE_HEADER_WORDS + words
+            self.out_words[sender_host] += cost
+            self.in_words[target_host] += cost
+            self.messages += 1
+            self.words += cost
 
-        Inside a compressed window every machine already holds the
-        frontier, so delivery is a no-op on the MPC ledger; only the
-        reference inbox order (ascending sender id) is normalized, the
-        same order :meth:`_shuffle_round` produces.
-        """
-        for target, box in pending.items():
-            if len(box) > 1:
-                pending[target] = dict(sorted(box.items()))
-        return pending
+    def post_batch(
+        self, sender: int, targets: tuple[int, ...], payload: Any, words: int
+    ) -> None:
+        pending = self.pending
+        for target in targets:
+            pending[target][sender] = payload
+        costs = self.costs
+        if costs is not None:
+            for target in targets:
+                costs[target][sender] = words
+        host = self._host
+        sender_host = host[sender]
+        if targets is self._adjacency[sender]:
+            # A broadcast: its off-machine hosts are graph-static.
+            hosts = self._cross_hosts[sender]
+        else:
+            hosts = [
+                host[target]
+                for target in dict.fromkeys(targets)
+                if host[target] != sender_host
+            ]
+        if hosts:
+            cost = ENVELOPE_HEADER_WORDS + words
+            in_words = self.in_words
+            for target_host in hosts:
+                in_words[target_host] += cost
+            shipped = cost * len(hosts)
+            self.out_words[sender_host] += shipped
+            self.messages += len(hosts)
+            self.words += shipped
 
 
 class _CompiledShard:
@@ -561,20 +576,24 @@ class _CompiledShard:
     execution order is a subsequence of the single-shard order); on a
     fork pool it works on a fork-inherited copy of the network and the
     constructed algorithms.  Per ``("round", inboxes)`` task it runs each
-    live algorithm's ``on_round`` and funnels the outbox through the
-    inherited :meth:`CongestNetwork._collect` — the reference validation
-    and metering — into a fragment the engine merges: ``pending`` (the
-    shard's target -> {sender: payload} dicts), a ``RunStats`` delta, the
-    awake count and newly finished ``(node id, output)`` pairs.  A failing
-    algorithm's node id is left in ``unit`` and its exception re-raised.
-    ``("finalize", None)`` returns the shard's node state dicts so the
-    parent network looks post-run to drivers that read
-    ``network.node_state`` directly.
+    live algorithm's ``on_round`` and collects the outbox through engine
+    v2's :class:`~repro.congest.engine.OutboxMeter` — the validation and
+    metering of the CONGEST ledger, which sizes each payload once — into a
+    :class:`_LoadSink`.  The fragment the engine merges holds ``pending``
+    (the shard's target -> {sender: payload} dicts), ``costs`` (their
+    payload words, compressed runs only), ``loads`` (the
+    :class:`~repro.mpc.runtime.ShuffleLoads` of the shard's off-machine
+    messages), a ``RunStats`` delta, the awake count and newly finished
+    ``(node id, output)`` pairs.  A failing algorithm's node id is left in
+    ``unit`` and its exception re-raised.  ``("finalize", None)`` returns
+    the shard's node state dicts so the parent network looks post-run to
+    drivers that read ``network.node_state`` directly.
 
     ``("checkpoint", None)`` snapshots each algorithm's mutable state —
     its ``__dict__`` (minus the node view), the node's state dict and
-    RNG state — and ``("restore", blob)`` applies one in place.  The
-    state dict is restored in place (clear + update) because
+    RNG state — as one opaque pickled blob, which the parent stores and
+    forwards without reading; ``("restore", blob)`` applies one in place.
+    The state dict is restored in place (clear + update) because
     ``alg.node.state`` aliases ``network.node_state[nid]``; replacing
     the dict object would silently detach the two views.
     """
@@ -582,25 +601,32 @@ class _CompiledShard:
     def __init__(
         self,
         net: "MPCCongestNetwork",
+        meter: OutboxMeter,
         algorithms: Sequence[Any],
         node_ids: Sequence[int],
     ) -> None:
         self._net = net
+        self._meter = meter
         self._algs = [algorithms[nid] for nid in node_ids]
 
-    def _checkpoint(self) -> list[tuple[int, dict[str, Any], dict[Any, Any], Any]]:
-        return [
-            (
-                alg.node.id,
-                {k: v for k, v in alg.__dict__.items() if k != "node"},
-                dict(self._net.node_state[alg.node.id]),
-                alg.node.rng.getstate(),
-            )
-            for alg in self._algs
-        ]
+    def _checkpoint(self) -> bytes:
+        return pickle.dumps(
+            [
+                (
+                    alg.node.id,
+                    {k: v for k, v in alg.__dict__.items() if k != "node"},
+                    self._net.node_state[alg.node.id],
+                    alg.node.rng.getstate(),
+                )
+                for alg in self._algs
+            ],
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
-    def _restore(self, blob: Sequence[Any]) -> None:
-        for (nid, attrs, state, rng_state), alg in zip(blob, self._algs):
+    def _restore(self, blob: bytes) -> None:
+        for (nid, attrs, state, rng_state), alg in zip(
+            pickle.loads(blob), self._algs
+        ):
             if nid != alg.node.id:  # pragma: no cover - plumbing bug guard
                 raise RuntimeError(
                     f"checkpoint blob for node {nid} applied to {alg.node.id}"
@@ -623,8 +649,9 @@ class _CompiledShard:
             return len(self._algs)
         if kind == "finalize":
             return {alg.node.id: net.node_state[alg.node.id] for alg in self._algs}
-        pending: dict[int, dict[int, Any]] = collections.defaultdict(dict)
+        sink = _LoadSink(net, track_costs=net._max_compress > 1)
         stats = RunStats(word_bits=net.word_bits)
+        collect = self._meter.collect
         awake = 0
         finished: list[tuple[int, Any]] = []
         for alg in self._algs:
@@ -639,18 +666,32 @@ class _CompiledShard:
                     awake += 1
                     inbox = inboxes.get(alg.node.id)
                     outbox = alg.on_round({} if inbox is None else inbox)
-                net._collect(alg, outbox, pending, stats)
+                collect(alg.node.id, outbox, sink, stats)
             except Exception:
                 self.unit = alg.node.id
                 raise
             if alg.done:
                 finished.append((alg.node.id, alg.output))
         return {
-            "pending": pending,
+            "pending": sink.pending,
+            "costs": sink.costs,
+            "loads": sink.loads(),
             "stats": stats,
             "awake": awake,
             "finished": finished,
         }
+
+
+class _Step(NamedTuple):
+    """One merged step of the compiled loop (see ``_CompiledEngine._merge``)."""
+
+    pending: dict[int, dict[int, Any]]
+    costs: dict[int, dict[int, int]] | None
+    loads: ShuffleLoads
+    stats: RunStats
+    awake: int
+    #: Machines whose last live node finished in this step.
+    emptied: int
 
 
 class _CompiledEngine(Engine):
@@ -659,19 +700,28 @@ class _CompiledEngine(Engine):
     The reference engine's loop with one change — how a round's pending
     messages reach their targets' inboxes.  Each window the loop asks the
     planner for a length ``k``: at ``k = 1`` (``compress=1``, or whenever
-    a larger window does not fit) the round routes through one
+    a larger window does not fit) the round's loads cross one
     :meth:`MPCRuntime.shuffle`; otherwise one prefetch shuffle carries
-    the frontier and the ``k`` rounds replay machine-locally.  The node
-    algorithms run in :class:`_CompiledShard` handlers stepped through an
-    executor of :mod:`repro.mpc.parallel` — in-process with one shard of
-    every node, or a fork pool with one shard per worker, machines
-    round-robin — and the parent folds the fragments into the CONGEST
-    ledger and emits the round events.  The executor is the loop's only
-    variable, so outputs, ``RunStats``, traces, round events and the MPC
-    ledger cannot depend on the worker count or the window length.
+    the frontier and the ``k`` rounds replay machine-locally.  Either
+    way the pending inboxes are delivered by the parent as merged.  The
+    node algorithms run in :class:`_CompiledShard` handlers stepped
+    through an executor of :mod:`repro.mpc.parallel` — in-process with
+    one shard of every node, or a fork pool with one shard per worker,
+    machines round-robin — and the shards meter every message, so the
+    parent only sums integers: it folds the fragments into the CONGEST
+    ledger and the shuffle loads and emits the round events.  The
+    executor is the loop's only variable, so outputs, ``RunStats``,
+    traces, round events and the MPC ledger cannot depend on the worker
+    count or the window length.
     """
 
     name = "mpc"
+
+    def __init__(self, network: "MPCCongestNetwork") -> None:
+        super().__init__(network)
+        #: Engine v2's metering, its payload-cost cache shared by every
+        #: run on this network (each fork worker fills its own copy).
+        self._meter = OutboxMeter(network)
 
     def run(
         self,
@@ -697,10 +747,18 @@ class _CompiledEngine(Engine):
             if injector is not None and injector.tracer is None:
                 injector.tracer = tracer
         n = net.n
-        host = net._host
         shards = net._node_shards(_parallel.shard_workers(net.workers))
-        handlers = [_CompiledShard(net, algorithms, shard) for shard in shards]
+        handlers = [
+            _CompiledShard(net, self._meter, algorithms, shard)
+            for shard in shards
+        ]
         outputs: dict[int, Any] = {}
+        # Live nodes per machine, decremented as nodes finish, and the
+        # number of machines that still host one.
+        live_nodes = [0] * net.num_machines
+        for mid in net._host:
+            live_nodes[mid] += 1
+        live_machines = sum(1 for count in live_nodes if count)
 
         def limit_error() -> RoundLimitError:
             return RoundLimitError(
@@ -714,33 +772,33 @@ class _CompiledEngine(Engine):
             recovery=runtime.recovery,
             tracer=tracer,
         ) as executor:
-            pending, delta, _awake = self._merge(
-                executor.step_all(("start", None)), outputs
+            step = self._merge(
+                executor.step_all(("start", None)), outputs, live_nodes
             )
-            stats = stats + delta
+            live_machines -= step.emptied
+            stats = stats + step.stats
             self._end_round(
-                timeline, hook, 0, delta.messages, delta.total_words, n,
-                delta.cut_words, n - len(outputs), label,
+                timeline, hook, 0, step.stats.messages,
+                step.stats.total_words, n, step.stats.cut_words,
+                n - len(outputs), label,
             )
             while len(outputs) < n:
                 if stats.rounds >= max_rounds:
                     raise limit_error()
-                live_machines = len(
-                    {host[nid] for nid in range(n) if nid not in outputs}
-                )
-                window = net._plan_window(pending)
+                window, prefetch = net._plan_window(step.costs)
                 if window > 1:
                     if tracer is not None:
                         tracer.begin("window", cat="mpc", k=window)
-                    net._prefetch_window(pending, window, live_machines)
+                    runtime.shuffle(
+                        prefetch, active=live_machines, congest_rounds=window
+                    )
                 executed = 0
                 while executed < window and len(outputs) < n:
                     if executed and stats.rounds >= max_rounds:
                         raise limit_error()
                     if window == 1:
-                        inboxes = net._shuffle_round(pending, live_machines)
-                    else:
-                        inboxes = net._local_inboxes(pending)
+                        runtime.shuffle(step.loads, active=live_machines)
+                    inboxes = step.pending
                     if len(shards) == 1:
                         tasks = [("round", inboxes)]
                     else:
@@ -752,14 +810,15 @@ class _CompiledEngine(Engine):
                             for shard in shards
                         ]
                     stats.rounds += 1
-                    pending, delta, awake = self._merge(
-                        executor.step(tasks), outputs
+                    step = self._merge(
+                        executor.step(tasks), outputs, live_nodes
                     )
-                    stats = stats + delta
+                    live_machines -= step.emptied
+                    stats = stats + step.stats
                     self._end_round(
-                        timeline, hook, stats.rounds, delta.messages,
-                        delta.total_words, awake, delta.cut_words,
-                        n - len(outputs), label,
+                        timeline, hook, stats.rounds, step.stats.messages,
+                        step.stats.total_words, step.awake,
+                        step.stats.cut_words, n - len(outputs), label,
                     )
                     executed += 1
                 if window > 1:
@@ -772,28 +831,50 @@ class _CompiledEngine(Engine):
             {nid: outputs[nid] for nid in range(n)}, stats, timeline
         )
 
-    @staticmethod
     def _merge(
-        frags: list[dict[str, Any]], outputs: dict[int, Any]
-    ) -> tuple[dict[int, dict[int, Any]], RunStats, int]:
-        """Fold one step's fragments: pending messages, stats, awake count.
+        self,
+        frags: list[dict[str, Any]],
+        outputs: dict[int, Any],
+        live_nodes: list[int],
+    ) -> _Step:
+        """Fold one step's fragments into one :class:`_Step`.
 
-        Newly finished nodes land in ``outputs``.  Shard fragments are
-        merged without re-sorting: every inbox is ordered by ascending
-        sender on delivery (:meth:`MPCCongestNetwork._shuffle_round`,
-        :meth:`MPCCongestNetwork._local_inboxes`), so the merge order is
-        immaterial.
+        Newly finished nodes land in ``outputs`` and leave ``live_nodes``.
+        Each shard runs its nodes in ascending order, so every shard's
+        inboxes are in ascending sender order — the reference order — and
+        only an inbox that several shards wrote to is re-sorted.
         """
-        pending = frags[0]["pending"]
-        for frag in frags[1:]:
-            for target, box in frag["pending"].items():
-                pending[target].update(box)
+        host = self.network._host
+        emptied = 0
         for frag in frags:
-            outputs.update(frag["finished"])
-        return (
+            for nid, output in frag["finished"]:
+                outputs[nid] = output
+                live_nodes[host[nid]] -= 1
+                if not live_nodes[host[nid]]:
+                    emptied += 1
+        first = frags[0]
+        pending, costs, loads = first["pending"], first["costs"], first["loads"]
+        if len(frags) > 1:
+            interleaved: dict[int, None] = {}
+            for frag in frags[1:]:
+                for target, box in frag["pending"].items():
+                    merged = pending[target]
+                    if merged:
+                        interleaved[target] = None
+                    merged.update(box)
+                if costs is not None:
+                    for target, box in frag["costs"].items():
+                        costs[target].update(box)
+                loads.add(frag["loads"])
+            for target in interleaved:
+                pending[target] = dict(sorted(pending[target].items()))
+        return _Step(
             pending,
+            costs,
+            loads,
             sum((frag["stats"] for frag in frags), RunStats()),
             sum(frag["awake"] for frag in frags),
+            emptied,
         )
 
 

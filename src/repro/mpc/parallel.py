@@ -21,16 +21,17 @@ chosen by :func:`open_shards`:
   graph, partition, compiled programs/algorithms — crosses into the
   workers exactly once at fork time (inherited copy-on-write), and only
   small mutable per-round deltas cross the pipes afterwards: inbox slices
-  down, ``(pending, stats-delta, finished)`` fragments up.
+  down, ``(pending, shuffle loads, stats-delta, finished)`` fragments up.
 
 **Parity contract.**  The executor changes *where* local computation
 runs, never *what* the ledger records: every shuffle is executed by the
 parent against the parent's metered :class:`~repro.mpc.runtime.MPCRuntime`
-(the shared shuffle barrier), fragment stats are additive (or
-max-combinable) and every inbox is ordered by ascending sender before
-delivery.  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents and the
-metrics deterministic section are therefore byte-identical at any worker
-count; ``tests/test_mpc_parallel.py`` enforces this differentially.
+(the shared shuffle barrier), fragment stats and shuffle loads are
+additive (or max-combinable) and every inbox is ordered by ascending
+sender before delivery.  The ShuffleRecord stream, ``MPCRunStats``,
+RoundEvents and the metrics deterministic section are therefore
+byte-identical at any worker count; ``tests/test_mpc_parallel.py``
+enforces this differentially.
 
 **Typed error transport.**  A handler that fails records the failing
 unit id as its ``unit`` attribute and re-raises.  Across a worker pipe —
@@ -50,6 +51,7 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import warnings
@@ -672,10 +674,10 @@ class ProgramShard:
 
     ``("checkpoint", None)`` snapshots the shard's mutable state — per
     program only ``machine.stored_words`` plus the program ``__dict__``
-    (the frozen ``MachineSpec`` never crosses) — and ``("restore",
-    blob)`` applies such a snapshot in place, keeping the existing
-    ``machine``/spec objects.  Pipe pickling turns the snapshot into a
-    deep copy on the parent side for free.
+    (the frozen ``MachineSpec`` never crosses) — as one opaque pickled
+    blob that the parent stores and forwards without reading, and
+    ``("restore", blob)`` applies such a snapshot in place, keeping the
+    existing ``machine``/spec objects.
     """
 
     def __init__(
@@ -683,19 +685,22 @@ class ProgramShard:
     ) -> None:
         self._programs = [(mid, programs[mid]) for mid in sorted(machine_ids)]
 
-    def _checkpoint(self) -> list[tuple[int, int, dict[str, Any]]]:
-        return [
-            (
-                mid,
-                prog.machine.snapshot(),
-                {k: v for k, v in prog.__dict__.items() if k != "machine"},
-            )
-            for mid, prog in self._programs
-        ]
+    def _checkpoint(self) -> bytes:
+        return pickle.dumps(
+            [
+                (
+                    mid,
+                    prog.machine.snapshot(),
+                    {k: v for k, v in prog.__dict__.items() if k != "machine"},
+                )
+                for mid, prog in self._programs
+            ],
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
-    def _restore(self, blob: Sequence[tuple[int, int, dict[str, Any]]]) -> None:
+    def _restore(self, blob: bytes) -> None:
         for (mid, stored_words, state), (own_mid, prog) in zip(
-            blob, self._programs
+            pickle.loads(blob), self._programs
         ):
             if mid != own_mid:  # pragma: no cover - plumbing bug guard
                 raise RuntimeError(

@@ -13,11 +13,15 @@ O(S) per-round I/O bound against every machine's
 ``io_budget_words`` — a violation raises
 :class:`~repro.mpc.machine.MemoryBudgetExceeded` naming the machine.
 
-The CONGEST round-compiler (:mod:`repro.mpc.compile_congest`) drives the
-shuffle directly — one CONGEST round per shuffle — while native MPC
-workloads (:mod:`repro.mpc.matching`) run whole programs through
-:meth:`MPCRuntime.run`, whose one round loop steps the programs through a
-serial or process-parallel shard executor (:mod:`repro.mpc.parallel`).
+:meth:`MPCRuntime.shuffle` takes two input forms and meters both in one
+core.  Native MPC workloads (:mod:`repro.mpc.matching`) hand it
+``(dest, payload)`` envelopes, whose loads it builds by sizing each
+payload; they run whole programs through :meth:`MPCRuntime.run`, whose
+one round loop steps the programs through a serial or process-parallel
+shard executor (:mod:`repro.mpc.parallel`).  The CONGEST round-compiler
+(:mod:`repro.mpc.compile_congest`) hands it :class:`ShuffleLoads` instead:
+its shards already sized every message when they collected it, so the
+shuffle only checks budgets and books the integers.
 """
 
 from __future__ import annotations
@@ -130,6 +134,38 @@ class ShuffleRecord:
 
 
 @dataclass
+class ShuffleLoads:
+    """One shuffle's traffic as integers: what the metering core reads.
+
+    ``in_words[mid]`` / ``out_words[mid]`` are the words machine ``mid``
+    receives / sends (``ENVELOPE_WORDS`` plus the envelope's payload per
+    message); ``messages`` and ``words`` are the shuffle's totals.  Every
+    field is a sum over messages, so the loads of disjoint message sets
+    add up (:meth:`add`) to the loads of their union — which is why shards
+    may meter their own messages and the parent only sums integers, with
+    no ledger depending on the shard layout.
+    """
+
+    in_words: list[int]
+    out_words: list[int]
+    messages: int = 0
+    words: int = 0
+
+    @classmethod
+    def zeros(cls, machines: int) -> "ShuffleLoads":
+        return cls([0] * machines, [0] * machines)
+
+    def add(self, other: "ShuffleLoads") -> None:
+        """Fold ``other`` (same machine count) into these loads."""
+        self.in_words = [a + b for a, b in zip(self.in_words, other.in_words)]
+        self.out_words = [
+            a + b for a, b in zip(self.out_words, other.out_words)
+        ]
+        self.messages += other.messages
+        self.words += other.words
+
+
+@dataclass
 class MPCRunResult:
     """Outputs and shuffle usage of one completed program run."""
 
@@ -206,19 +242,29 @@ class MPCRuntime:
 
     def shuffle(
         self,
-        outboxes: Sequence[Iterable[tuple[int, Any]] | None],
+        traffic: Sequence[Iterable[tuple[int, Any]] | None] | ShuffleLoads,
         active: int | None = None,
         congest_rounds: int = 1,
-    ) -> list[list[tuple[int, Any]]]:
+    ) -> list[list[tuple[int, Any]]] | None:
         """Execute one metered shuffle round.
 
-        ``outboxes[mid]`` holds machine ``mid``'s ``(dest, payload)``
-        messages (or ``None``).  Returns ``inboxes`` where
-        ``inboxes[mid]`` lists ``(sender_mid, payload)`` pairs ordered by
-        sender machine, then send order — deterministic regardless of how
-        callers built their outboxes.  Word accounting and the per-machine
-        I/O budget check happen here; budget violations raise
-        :class:`MemoryBudgetExceeded` before any message is delivered.
+        ``traffic`` comes in one of two forms, metered by one core:
+
+        * **envelopes** — ``traffic[mid]`` holds machine ``mid``'s
+          ``(dest, payload)`` messages (or ``None``).  Their loads are
+          built here, one :func:`~repro.congest.message.payload_words`
+          per message, and the call returns ``inboxes`` where
+          ``inboxes[mid]`` lists ``(sender_mid, payload)`` pairs ordered
+          by sender machine, then send order — deterministic regardless
+          of how callers built their outboxes.
+        * **loads** — a :class:`ShuffleLoads` the caller already summed
+          (the compiled CONGEST engine's shards size each message once,
+          when they collect it).  Nothing is delivered; returns ``None``.
+
+        Either way the fault plane's ``before_shuffle`` fires first, and
+        the per-machine I/O budget check raises
+        :class:`MemoryBudgetExceeded` — lowest machine first, ``sent``
+        before ``received`` — before any message is delivered or counted.
 
         ``congest_rounds`` records how many CONGEST rounds this shuffle
         carries in the ledger (1 classically; the compressed compiler
@@ -231,12 +277,42 @@ class MPCRuntime:
         tracer = self.tracer
         shuffle_start = tracer.now_ns() if tracer is not None else 0
         m = self.num_machines
+        if isinstance(traffic, ShuffleLoads):
+            loads, inboxes = traffic, None
+            if len(loads.in_words) != m or len(loads.out_words) != m:
+                raise ValueError(
+                    f"expected loads of {m} machines, got "
+                    f"{len(loads.in_words)} in / {len(loads.out_words)} out"
+                )
+        else:
+            loads, inboxes = self._route(traffic)
+        record = self._meter(loads, active, congest_rounds)
+        if tracer is not None:
+            tracer.complete(
+                "shuffle",
+                shuffle_start,
+                tracer.now_ns(),
+                cat="mpc",
+                round=record.round_index,
+                messages=record.messages,
+                words=record.words,
+                congest_rounds=congest_rounds,
+                active=record.active_machines,
+            )
+        return inboxes
+
+    def _route(
+        self, outboxes: Sequence[Iterable[tuple[int, Any]] | None]
+    ) -> tuple[ShuffleLoads, list[list[tuple[int, Any]]]]:
+        """Loads and inboxes of the envelope form of :meth:`shuffle`."""
+        m = self.num_machines
         if len(outboxes) != m:
             raise ValueError(
                 f"expected {m} outboxes, got {len(outboxes)}"
             )
-        in_words = [0] * m
-        out_words = [0] * m
+        loads = ShuffleLoads.zeros(m)
+        in_words = loads.in_words
+        out_words = loads.out_words
         inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(m)]
         messages = 0
         words_total = 0
@@ -255,6 +331,16 @@ class MPCRuntime:
                 messages += 1
                 words_total += words
                 inboxes[dest].append((sender, payload))
+        loads.messages = messages
+        loads.words = words_total
+        return loads, inboxes
+
+    def _meter(
+        self, loads: ShuffleLoads, active: int | None, congest_rounds: int
+    ) -> ShuffleRecord:
+        """The metering core: budget check, stats, trace record, hook."""
+        in_words = loads.in_words
+        out_words = loads.out_words
         for mid, machine in enumerate(self.machines):
             if out_words[mid] > machine.io_budget_words:
                 raise MemoryBudgetExceeded(
@@ -275,35 +361,23 @@ class MPCRuntime:
         stats = self.stats
         stats.rounds += 1
         stats.congest_rounds += congest_rounds
-        stats.messages += messages
-        stats.total_words += words_total
+        stats.messages += loads.messages
+        stats.total_words += loads.words
         stats.max_in_words = max(stats.max_in_words, max_in)
         stats.max_out_words = max(stats.max_out_words, max_out)
         record = ShuffleRecord(
             round_index=stats.rounds,
-            messages=messages,
-            words=words_total,
+            messages=loads.messages,
+            words=loads.words,
             max_in_words=max_in,
             max_out_words=max_out,
-            active_machines=m if active is None else active,
+            active_machines=self.num_machines if active is None else active,
             congest_rounds=congest_rounds,
         )
         self.trace.append(record)
         if self.on_shuffle is not None:
             self.on_shuffle(record)
-        if tracer is not None:
-            tracer.complete(
-                "shuffle",
-                shuffle_start,
-                tracer.now_ns(),
-                cat="mpc",
-                round=record.round_index,
-                messages=messages,
-                words=words_total,
-                congest_rounds=congest_rounds,
-                active=record.active_machines,
-            )
-        return inboxes
+        return record
 
     def absorb_early_finish(self, unexecuted_rounds: int) -> None:
         """Give back CONGEST rounds a compressed window never replayed.

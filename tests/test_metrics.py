@@ -353,7 +353,12 @@ class TestWindowPlannerCaches:
         net = MPCCongestNetwork(graph, alpha=0.9, seed=3, compress=4)
         approx_mvc_square(graph, 0.5, network=net)  # populate the caches
         for radius in range(1, 4):
-            watchers = net._watchers_at(radius)
+            # The cumulative watchers: machines within ``radius`` hops.
+            watchers = [
+                [mid for mid, dist in enumerate(net._hop_dist)
+                 if dist.get(node, radius + 1) <= radius]
+                for node in range(net.n)
+            ]
             for node in range(net.n):
                 union: list[int] = []
                 for r in range(radius + 1):

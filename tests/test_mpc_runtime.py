@@ -20,7 +20,13 @@ from repro.mpc.partition import (
     partition_edges,
     partition_vertices,
 )
-from repro.mpc.runtime import ENVELOPE_WORDS, MPCRunStats, MPCRuntime
+from repro.congest.message import payload_words
+from repro.mpc.runtime import (
+    ENVELOPE_WORDS,
+    MPCRunStats,
+    MPCRuntime,
+    ShuffleLoads,
+)
 
 
 class TestMemoryBudget:
@@ -282,6 +288,127 @@ class TestRuntime:
         assert summed.rounds == 6
         assert summed.congest_rounds == 12
         assert summed.word_bits == 5
+
+
+class _CountingInjector:
+    """Stands in for a fault injector; counts ``before_shuffle`` calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def before_shuffle(self, runtime) -> None:
+        self.calls += 1
+
+
+_payloads = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(min_value=0, max_value=300), st.none()),
+)
+
+
+@st.composite
+def _shuffle_rounds(draw):
+    """Machines with random budgets, rounds of outboxes, a shard split."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    budgets = draw(st.lists(
+        st.integers(min_value=1, max_value=12), min_size=m, max_size=m,
+    ))
+    rounds = draw(st.lists(
+        st.lists(
+            st.one_of(st.none(), st.lists(
+                st.tuples(st.integers(min_value=0, max_value=m - 1), _payloads),
+                max_size=4,
+            )),
+            min_size=m, max_size=m,
+        ),
+        min_size=1, max_size=4,
+    ))
+    shard_of = draw(st.lists(
+        st.integers(min_value=0, max_value=2), min_size=m, max_size=m,
+    ))
+    return budgets, rounds, shard_of
+
+
+def _shard_summed_loads(outboxes, shard_of, word_bits):
+    """Each shard meters its machines' envelopes; the loads are summed."""
+    m = len(outboxes)
+    per_shard = {}
+    for sender, outbox in enumerate(outboxes):
+        loads = per_shard.setdefault(shard_of[sender], ShuffleLoads.zeros(m))
+        for dest, payload in outbox or ():
+            words = ENVELOPE_WORDS + payload_words(payload, word_bits)
+            loads.out_words[sender] += words
+            loads.in_words[dest] += words
+            loads.messages += 1
+            loads.words += words
+    total = ShuffleLoads.zeros(m)
+    for shard in sorted(per_shard):
+        total.add(per_shard[shard])
+    return total
+
+
+class TestShuffleInputForms:
+    """Envelopes and shard-summed loads meter identically in one core."""
+
+    @given(case=_shuffle_rounds(), active=st.none() | st.integers(0, 5))
+    def test_loads_and_envelopes_agree(self, case, active):
+        budgets, rounds, shard_of = case
+        runtimes = []
+        for _form in range(2):
+            runtime = MPCRuntime(
+                [Machine(i, b, io_factor=1.0) for i, b in enumerate(budgets)],
+                word_bits=5,
+            )
+            runtime.fault_injector = _CountingInjector()
+            runtimes.append(runtime)
+        by_envelopes, by_loads = runtimes
+        for shuffles, outboxes in enumerate(rounds, start=1):
+            loads = _shard_summed_loads(outboxes, shard_of, word_bits=5)
+            errors = []
+            for runtime, traffic in ((by_envelopes, outboxes), (by_loads, loads)):
+                try:
+                    runtime.shuffle(traffic, active=active)
+                except MemoryBudgetExceeded as exc:
+                    errors.append(str(exc))
+            assert by_envelopes.fault_injector.calls == shuffles
+            assert by_loads.fault_injector.calls == shuffles
+            assert by_loads.trace == by_envelopes.trace
+            assert by_loads.stats == by_envelopes.stats
+            if errors:
+                # Over budget: same text from both forms, nothing booked.
+                assert len(errors) == 2 and errors[0] == errors[1]
+                assert len(by_loads.trace) == shuffles - 1
+                return
+
+    def test_over_budget_names_lowest_machine_sent_first(self):
+        # Machine 1 both sends and receives over budget, machine 2 only
+        # receives: the error names machine 1 and its sent load.
+        machines = [Machine(i, 3, io_factor=1.0) for i in range(3)]
+        for traffic in (
+            [None, [(2, (1, 2, 3)), (1, (4, 5, 6))], None],
+            ShuffleLoads([0, 4, 4], [0, 8, 0], 2, 8),
+        ):
+            runtime = MPCRuntime(machines, word_bits=5)
+            with pytest.raises(MemoryBudgetExceeded) as excinfo:
+                runtime.shuffle(traffic)
+            assert str(excinfo.value).startswith(
+                "machine 1 sent 8 words in round 1"
+            )
+            assert runtime.stats.rounds == 0 and not runtime.trace
+
+    def test_loads_form_delivers_nothing(self):
+        runtime = MPCRuntime([Machine(i, 100) for i in range(2)], word_bits=5)
+        assert runtime.shuffle(ShuffleLoads([2, 0], [0, 2], 1, 2)) is None
+        assert runtime.trace[0].messages == 1
+        assert runtime.trace[0].max_in_words == 2
+
+    def test_loads_of_wrong_machine_count_rejected(self):
+        runtime = MPCRuntime([Machine(i, 100) for i in range(2)], word_bits=5)
+        with pytest.raises(ValueError, match="loads of 2 machines"):
+            runtime.shuffle(ShuffleLoads.zeros(3))
 
 
 class _TwoArgError(Exception):
