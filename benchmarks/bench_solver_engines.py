@@ -15,9 +15,10 @@ The (task, n, engine) cells live in
 :func:`repro.sweep.grids.solver_engines_grid`.  Every (task, n) point is a
 **parity cell**: the three engine configurations must produce byte-identical
 payloads (outputs signature, ``RunStats``, phase counts).  The small points
-additionally re-run the solver stages with tracing enabled and compare the
-full per-round timelines — the trace half of the parity contract, which the
-sweep payloads cannot carry.  The n >= 200 points are the **timing cells**
+additionally re-run the solver stages with a round-event recorder
+subscribed and compare the full ``RoundEvent`` lists with ``==`` — the
+per-round half of the parity contract, which the sweep payloads cannot
+carry.  The n >= 200 points are the **timing cells**
 behind the headline claim.
 
 Usage::
@@ -61,13 +62,14 @@ CHECK_SPEEDUP = 1.5
 
 
 def run_traced_stage_parity(n: int = 40, seed: int = 11) -> list[str]:
-    """Per-round trace parity across all three engine configurations.
+    """Per-round event parity across all three engine configurations.
 
     Runs representative solver stages — the Phase I status protocol (self
     -waking on its send steps), the Lemma 29 estimator (guaranteed-traffic
     cadence), the winner/coverage stage and the convergecast-OR (fully
-    reactive sleeper) — with ``trace=True`` and asserts outputs, stats and
-    the full ``RoundRecord`` timeline are identical.  Returns the names of
+    reactive sleeper) — with a recorder subscribed to the round events and
+    asserts outputs, stats and the stage's ``RoundEvent`` list are
+    identical (``==``: every field but ``awake``).  Returns the names of
     the stages checked.
     """
     graph = gnp_graph(n, 0.12, seed=seed)
@@ -76,22 +78,27 @@ def run_traced_stage_parity(n: int = 40, seed: int = 11) -> list[str]:
         net = CongestNetwork(graph, seed=seed, engine=engine)
         net.reset_state()
         results = {}
-        results["phase1"] = net.run(
-            lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=4),
-            trace=True,
+
+        def run(stage, factory):
+            events = []
+            net.on_round = events.append
+            result = net.run(factory)
+            results[stage] = {
+                "outputs": result.outputs,
+                "by_id": result.by_id,
+                "stats": result.stats,
+                "events": events,
+            }
+
+        run(
+            "phase1", lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=4)
         )
         for node_id in net.ids():
             net.node_state[node_id]["in_U"] = True
-        results["estimation"] = net.run(
-            lambda v: EstimationStage(v, samples=6), trace=True
-        )
-        results["winner"] = net.run(WinnerAlgorithm, trace=True)
-        results["bfs"] = net.run(
-            lambda v: BfsTreeAlgorithm(v, net.n - 1), trace=True
-        )
-        results["global-or"] = net.run(
-            lambda v: GlobalOrAlgorithm(v, "in_U"), trace=True
-        )
+        run("estimation", lambda v: EstimationStage(v, samples=6))
+        run("winner", WinnerAlgorithm)
+        run("bfs", lambda v: BfsTreeAlgorithm(v, net.n - 1))
+        run("global-or", lambda v: GlobalOrAlgorithm(v, "in_U"))
         return results
 
     reference = run_stages(SOLVER_ENGINES[0])
@@ -99,8 +106,8 @@ def run_traced_stage_parity(n: int = 40, seed: int = 11) -> list[str]:
         candidate = run_stages(engine)
         for stage, expected in reference.items():
             got = candidate[stage]
-            for field in ("outputs", "by_id", "stats", "trace"):
-                if getattr(expected, field) != getattr(got, field):
+            for field in ("outputs", "by_id", "stats", "events"):
+                if expected[field] != got[field]:
                     raise AssertionError(
                         f"trace parity violated: stage {stage!r} field "
                         f"{field!r} differs between "

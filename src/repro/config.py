@@ -142,10 +142,10 @@ class RunConfig:
     ) -> CongestNetwork:
         """A fresh network of this model on ``graph``, observers attached.
 
-        ``collector`` (a :class:`~repro.metrics.MetricsCollector`) hooks
-        the round and shuffle streams; ``tracer`` (a
-        :class:`~repro.trace.TraceRecorder`) records the timeline.  The
-        centralized model runs no network.
+        ``collector`` (a :class:`~repro.metrics.MetricsCollector`) and
+        ``tracer`` (a :class:`~repro.trace.TraceRecorder`) subscribe to
+        the round-event stream through their ``attach``.  The centralized
+        model runs no network.
         """
         if self.model == "mpc":
             from repro.mpc.compile_congest import MPCCongestNetwork
@@ -169,5 +169,6 @@ class RunConfig:
             network = kind(graph, seed=seed, engine=self.engine)
         if collector is not None:
             collector.attach(network)
-        network.tracer = tracer
+        if tracer is not None:
+            tracer.attach(network)
         return network

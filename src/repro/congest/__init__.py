@@ -27,7 +27,7 @@ Three engine configurations run the rounds (see :mod:`repro.congest.engine`):
 
 Select an engine per network (``CongestNetwork(graph, engine="v1")``) or
 process-wide via the ``REPRO_ENGINE`` environment variable.  All engines
-are required to produce identical outputs, statistics and traces;
+are required to produce identical outputs, statistics and round events;
 ``tests/test_engine_parity.py`` and ``tests/test_batch_outbox.py`` enforce
 this differentially, and ``benchmarks/bench_engine_scaling.py`` /
 ``benchmarks/bench_solver_engines.py`` measure the speedups.

@@ -50,14 +50,15 @@ round-counting) may override it to false.  A sleeping node is woken by
 incoming traffic regardless of its ``wants_wake`` answer.  If every live
 node sleeps and no traffic is in flight, nothing can ever happen again and
 the engine reproduces the reference engine's empty-round spin up to
-``max_rounds`` (same trace, same :class:`RoundLimitError`).
+``max_rounds`` (same events, same :class:`RoundLimitError`).
 
 The v1/v2 parity contract
 -------------------------
 All engine configurations must produce identical outputs, statistics and
-traces on every run — same ``RunResult.outputs``/``by_id``, same
-``RunStats`` field by field, same per-round ``RoundRecord`` timeline, and
-the same exceptions at the same rounds.  The ingredients:
+round events on every run — same ``RunResult.outputs``/``by_id``, same
+``RunStats`` field by field, ``==`` lists of
+:class:`~repro.congest.network.RoundEvent`, and the same exceptions at
+the same rounds.  The ingredients:
 
 * nodes run in ascending id order each round (v2 sorts its runnable set);
 * messages are metered at send time in both engines, including traffic
@@ -87,12 +88,14 @@ the contract differentially, and ``benchmarks/bench_engine_scaling.py`` /
 ``benchmarks/bench_solver_engines.py`` re-check it at benchmark scale via
 the sweep runner's per-cell engine selection.
 
-Per-round instrumentation: both engines deliver a structured
-:class:`~repro.congest.network.RoundEvent` (round index, messages, words,
-cut words, awake-node count) to an ``on_round`` callback — per run or as a
-network-level default — as each round ends.  Events never affect
-execution; the parity contract covers every field except ``awake``, which
-deliberately exposes how many nodes each engine actually invoked.
+Per-round instrumentation: every engine ends each round in
+:meth:`Engine._end_round`, which hands a
+:class:`~repro.congest.network.RoundEvent` to the network's ``on_round``
+observer slot (read once per run; see
+:meth:`~repro.congest.network.CongestNetwork.subscribe`), and builds none
+when nothing is subscribed.  Events never affect execution; their
+equality covers every field except ``awake``, which deliberately exposes
+how many nodes each engine actually invoked.
 
 Engine selection: the ``engine=`` constructor argument of
 :class:`~repro.congest.network.CongestNetwork` wins; otherwise the
@@ -116,14 +119,15 @@ try:  # numpy accelerates untrusted-batch validation; optional by design.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.congest.algorithm import NodeAlgorithm
-    from repro.congest.network import (
-        AlgorithmFactory,
-        CongestNetwork,
-        RunResult,
-        RunStats,
-    )
+from repro.congest.network import (
+    DEFAULT_ROUND_FACTOR,
+    RoundEvent,
+    RunResult,
+    RunStats,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.congest.network import AlgorithmFactory, CongestNetwork
 
 #: Environment variable overriding the engine for networks constructed
 #: without an explicit ``engine=`` argument.
@@ -154,32 +158,6 @@ def resolve_engine_name(name: str | None = None) -> str:
     return canonical
 
 
-def _emit_round_event(
-    hook, round_index: int, messages: int, words: int, awake: int,
-    cut_words: int, label: str | None = None,
-) -> None:
-    """Deliver one RoundEvent to ``hook`` (no-op when ``hook`` is None).
-
-    The single construction point for both engines and the spin loop, so
-    the event shape cannot drift between v1 and v2.  ``label`` is the
-    run-level stage label, stamped as ``RoundEvent.stage_label``.
-    """
-    if hook is None:
-        return
-    from repro.congest.network import RoundEvent
-
-    hook(
-        RoundEvent(
-            round_index=round_index,
-            messages=messages,
-            words=words,
-            awake=awake,
-            cut_words=cut_words,
-            stage_label=label,
-        )
-    )
-
-
 def create_engine(network: "CongestNetwork", name: str | None = None) -> "Engine":
     """Instantiate the engine ``name`` (resolved per module rules) for ``network``."""
     canonical = resolve_engine_name(name)
@@ -201,10 +179,8 @@ class Engine:
         factory: "AlgorithmFactory",
         inputs: Mapping[Any, Any] | None = None,
         max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
         label: str | None = None,
-    ) -> "RunResult":
+    ) -> RunResult:
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------
@@ -214,53 +190,42 @@ class Engine:
         factory: "AlgorithmFactory",
         inputs: Mapping[Any, Any] | None,
         max_rounds: int | None,
-        trace: bool,
-        on_round=None,
     ):
-        from repro.congest.network import DEFAULT_ROUND_FACTOR, RunStats
-
         network = self.network
         if max_rounds is None:
             max_rounds = DEFAULT_ROUND_FACTOR * network.n * network.n + 1000
         views = network._make_views(inputs)
         algorithms = [factory(view) for view in views]
         stats = RunStats(word_bits=network.word_bits)
-        timeline = [] if trace else None
-        # Per-run callback wins; otherwise the network-level default.
-        hook = on_round if on_round is not None else network.on_round
-        return algorithms, stats, timeline, max_rounds, hook
+        # The observer slot is read once per run.
+        return algorithms, stats, max_rounds, network.on_round
 
     @staticmethod
     def _end_round(
-        timeline, hook, round_index: int, messages: int, words: int,
-        awake: int, cut_words: int, alive: int, label: str | None,
+        hook, label: str | None, round_index: int, messages: int, words: int,
+        cut_words: int, alive: int, awake: int,
     ) -> None:
-        """Close one round: its timeline record (when tracing) and event."""
-        if timeline is not None:
-            from repro.congest.network import RoundRecord
+        """Close one round: the single construction point of a RoundEvent.
 
-            timeline.append(
-                RoundRecord(
-                    round_index=round_index,
-                    messages=messages,
-                    words=words,
-                    active_nodes=alive,
+        Every engine loop (and v2's spin loop) ends each round here, so
+        the event shape cannot drift between engines.  Without an
+        observer no event is built.
+        """
+        if hook is not None:
+            hook(
+                RoundEvent(
+                    round_index, messages, words, cut_words, alive, awake,
+                    label,
                 )
             )
-        _emit_round_event(
-            hook, round_index, messages, words, awake, cut_words, label
-        )
 
-    def _result(self, by_id: dict[int, Any], stats, timeline):
+    def _result(self, by_id: dict[int, Any], stats: RunStats) -> RunResult:
         """The run's result from its per-node outputs, by ascending id."""
-        from repro.congest.network import RunResult
-
         label_of = self.network._label_of
         return RunResult(
             outputs={label_of[nid]: output for nid, output in by_id.items()},
             stats=stats,
             by_id=by_id,
-            trace=timeline,
         )
 
 
@@ -274,39 +239,27 @@ class SynchronousEngine(Engine):
         factory: "AlgorithmFactory",
         inputs: Mapping[Any, Any] | None = None,
         max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
         label: str | None = None,
-    ) -> "RunResult":
-        from repro.congest.network import RoundRecord
-
+    ) -> RunResult:
         network = self.network
-        algorithms, stats, timeline, max_rounds, hook = self._setup(
-            factory, inputs, max_rounds, trace, on_round
+        algorithms, stats, max_rounds, hook = self._setup(
+            factory, inputs, max_rounds
         )
 
         pending: dict[int, dict[int, Any]] = {i: {} for i in range(network.n)}
         for alg in algorithms:
             network._collect(alg, alg.on_start(), pending, stats)
-        if timeline is not None:
-            timeline.append(
-                RoundRecord(
-                    round_index=0,
-                    messages=stats.messages,
-                    words=stats.total_words,
-                    active_nodes=sum(1 for a in algorithms if not a.done),
-                )
-            )
-        _emit_round_event(
-            hook, 0, stats.messages, stats.total_words, len(algorithms),
-            stats.cut_words, label,
+        alive = sum(1 for a in algorithms if not a.done)
+        self._end_round(
+            hook, label, 0, stats.messages, stats.total_words,
+            stats.cut_words, alive, len(algorithms),
         )
 
-        while not all(alg.done for alg in algorithms):
+        while alive:
             if stats.rounds >= max_rounds:
                 raise RoundLimitError(
                     f"no termination within {max_rounds} rounds "
-                    f"({sum(1 for a in algorithms if not a.done)} nodes alive)"
+                    f"({alive} nodes alive)"
                 )
             stats.rounds += 1
             before_messages = stats.messages
@@ -321,23 +274,15 @@ class SynchronousEngine(Engine):
                 outbox = alg.on_round(inboxes[alg.node.id])
                 # A node may send a final outbox in the round it finishes.
                 network._collect(alg, outbox, pending, stats)
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=stats.messages - before_messages,
-                        words=stats.total_words - before_words,
-                        active_nodes=sum(1 for a in algorithms if not a.done),
-                    )
-                )
-            _emit_round_event(
-                hook, stats.rounds, stats.messages - before_messages,
-                stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, label,
+            alive = sum(1 for a in algorithms if not a.done)
+            self._end_round(
+                hook, label, stats.rounds, stats.messages - before_messages,
+                stats.total_words - before_words,
+                stats.cut_words - before_cut, alive, awake,
             )
 
         return self._result(
-            {alg.node.id: alg.output for alg in algorithms}, stats, timeline
+            {alg.node.id: alg.output for alg in algorithms}, stats
         )
 
 
@@ -389,13 +334,11 @@ class ActivityEngine(Engine):
         factory: "AlgorithmFactory",
         inputs: Mapping[Any, Any] | None = None,
         max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
         label: str | None = None,
-    ) -> "RunResult":
+    ) -> RunResult:
         network = self.network
-        algorithms, stats, timeline, max_rounds, hook = self._setup(
-            factory, inputs, max_rounds, trace, on_round
+        algorithms, stats, max_rounds, hook = self._setup(
+            factory, inputs, max_rounds
         )
         ring = MailboxRing(network.n)
         scheduler = ActivityScheduler(network.n)
@@ -408,8 +351,8 @@ class ActivityEngine(Engine):
             elif alg.wants_wake():
                 scheduler.request_wake(alg.node.id)
         self._end_round(
-            timeline, hook, 0, stats.messages, stats.total_words,
-            len(algorithms), stats.cut_words, scheduler.live, label,
+            hook, label, 0, stats.messages, stats.total_words,
+            stats.cut_words, scheduler.live, len(algorithms),
         )
 
         while scheduler.live:
@@ -438,27 +381,23 @@ class ActivityEngine(Engine):
                 elif alg.wants_wake():
                     scheduler.request_wake(node_id)
             self._end_round(
-                timeline, hook, stats.rounds,
-                stats.messages - before_messages,
-                stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, scheduler.live, label,
+                hook, label, stats.rounds, stats.messages - before_messages,
+                stats.total_words - before_words,
+                stats.cut_words - before_cut, scheduler.live, awake,
             )
             if not runnable and not ring.has_pending():
-                self._spin_to_limit(
-                    stats, timeline, max_rounds, scheduler, hook, label
-                )
+                self._spin_to_limit(stats, max_rounds, scheduler, hook, label)
 
         return self._result(
-            {alg.node.id: alg.output for alg in algorithms}, stats, timeline
+            {alg.node.id: alg.output for alg in algorithms}, stats
         )
 
     def _spin_to_limit(
-        self, stats, timeline, max_rounds: int, scheduler, hook=None,
-        label: str | None = None,
+        self, stats, max_rounds: int, scheduler, hook, label: str | None
     ) -> None:
         """Every live node sleeps and no traffic is in flight: nothing can
         ever happen again.  The reference engine would keep running empty
-        rounds to the limit; reproduce its trace and error exactly."""
+        rounds to the limit; reproduce its events and error exactly."""
         while True:
             if stats.rounds >= max_rounds:
                 raise RoundLimitError(
@@ -467,8 +406,7 @@ class ActivityEngine(Engine):
                 )
             stats.rounds += 1
             self._end_round(
-                timeline, hook, stats.rounds, 0, 0, 0, 0, scheduler.live,
-                label,
+                hook, label, stats.rounds, 0, 0, 0, scheduler.live, 0
             )
 
 

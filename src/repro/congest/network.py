@@ -114,43 +114,31 @@ class RunStats:
 
 
 @dataclass
-class RoundRecord:
-    """Per-round traffic, recorded when ``run(..., trace=True)``."""
-
-    round_index: int
-    messages: int
-    words: int
-    active_nodes: int
-
-
-@dataclass
 class RoundEvent:
-    """One engine round, delivered to an ``on_round`` callback as it ends.
+    """One engine round, delivered to ``network.on_round`` as it ends.
 
-    The structured form of the trace timeline: consumers (benchmarks, the
-    MPC round-compiler's parity check) receive events while the run is in
-    flight instead of re-deriving per-round quantities from summed
-    ``RunStats`` afterwards.  ``round_index``, ``messages``, ``words`` and
-    ``cut_words`` are engine-independent (the v1/v2 parity contract covers
-    them); ``awake`` counts the nodes actually *invoked* this round, which
-    is where the engines legitimately differ — v1 invokes every live node,
-    v2 only traffic- or self-woken ones — so it is exactly the quantity an
-    activity-scheduling experiment wants to see.
+    The only per-round record: the metrics collector, the tracer, the MPC
+    parity check, tests and benchmarks all read this stream (subscribe
+    with :meth:`CongestNetwork.subscribe`).  Round 0 carries the
+    ``on_start`` sends.  ``alive`` counts the nodes still running after
+    the round.
 
-    ``stage`` and ``stage_label`` attribute the event to the solver stage
-    that produced it: :func:`run_stages` stamps the stage index on every
-    forwarded event, and a ``label=`` passed to ``run`` (directly or via
-    ``run_stages(stage_labels=...)``) travels as ``stage_label``.  Both
-    default to ``None`` for unlabelled runs; neither is part of the
-    engine parity surface (they are attribution, not metering).
+    Equality is the engine parity contract: ``round_index``,
+    ``messages``, ``words``, ``cut_words``, ``alive`` and ``stage_label``
+    must agree on every engine, so two runs are round-for-round identical
+    iff their event lists are ``==``.  ``awake`` counts the nodes actually
+    *invoked* this round, which is where the engines legitimately differ —
+    v1 invokes every live node, v2 only traffic- or self-woken ones — so
+    it is left out of the comparison.  ``stage_label`` is the ``label=``
+    passed to ``run`` (``None`` for unlabelled runs).
     """
 
     round_index: int
     messages: int
     words: int
-    awake: int
-    cut_words: int = 0
-    stage: int | None = None
+    cut_words: int
+    alive: int
+    awake: int = field(compare=False)
     stage_label: str | None = None
 
 
@@ -161,7 +149,6 @@ class RunResult:
     outputs: dict[Any, Any]
     stats: RunStats
     by_id: dict[int, Any] = field(default_factory=dict)
-    trace: list[RoundRecord] | None = None
 
 
 class CongestNetwork:
@@ -191,10 +178,9 @@ class CongestNetwork:
         without the batch fast path).  ``None`` defers to the
         ``REPRO_ENGINE`` environment variable, then the package default.
     on_round:
-        Optional default :class:`RoundEvent` callback applied to every
-        ``run`` on this network (a per-``run`` ``on_round=`` argument
-        overrides it for that run).  Lets multi-stage drivers instrument
-        all their stages by constructing the network once.
+        Optional first observer of the :class:`RoundEvent` stream; it sees
+        every round of every ``run`` on this network.  More observers join
+        through :meth:`subscribe`.
     """
 
     def __init__(
@@ -215,11 +201,14 @@ class CongestNetwork:
         self.word_limit = word_limit
         self.strict = strict
         self.seed = seed
+        #: The round-event observer slot, read once per run by the engine.
+        #: :meth:`subscribe` adds to it; assigning it replaces every
+        #: observer.
         self.on_round = on_round
         #: Optional :class:`repro.trace.TraceRecorder`; purely an observer
-        #: (spans + counters around/inside :meth:`run`), never touches
-        #: metering or scheduling.  Set by the CLI / drivers after
-        #: construction.
+        #: (a span per :meth:`run`), never touches metering or
+        #: scheduling.  Set by :meth:`TraceRecorder.attach
+        #: <repro.trace.TraceRecorder.attach>`.
         self.tracer = None
         #: Optional :class:`repro.metrics.MetricsCollector` back-reference,
         #: set by ``MetricsCollector.attach`` so solvers can publish
@@ -284,6 +273,23 @@ class CongestNetwork:
         """Clear the per-node stage-to-stage state dictionaries."""
         self.node_state = {i: {} for i in range(self.n)}
 
+    def subscribe(self, observer: Callable[[RoundEvent], None]) -> None:
+        """Add ``observer`` to the round-event stream.
+
+        Afterwards ``on_round`` calls the earlier observers first, then
+        ``observer``.  Events never affect execution.
+        """
+        previous = self.on_round
+        if previous is None:
+            self.on_round = observer
+            return
+
+        def both(event: RoundEvent) -> None:
+            previous(event)
+            observer(event)
+
+        self.on_round = both
+
     # -- runtime -----------------------------------------------------------
 
     def _can_send(self, sender: int, target: int) -> bool:
@@ -332,8 +338,6 @@ class CongestNetwork:
         factory: AlgorithmFactory,
         inputs: Mapping[Any, Any] | None = None,
         max_rounds: int | None = None,
-        trace: bool = False,
-        on_round: Callable[[RoundEvent], None] | None = None,
         label: str | None = None,
     ) -> RunResult:
         """Run one algorithm instance per node until all finish.
@@ -341,13 +345,10 @@ class CongestNetwork:
         Returns a :class:`RunResult` whose ``outputs`` are keyed by original
         graph labels.  Raises :class:`RoundLimitError` if the algorithm does
         not terminate within ``max_rounds`` (default ``20 * n**2 + 1000``).
-        With ``trace=True`` the result carries a per-round traffic timeline
-        (round 0 records the ``on_start`` sends).  ``on_round`` receives a
-        :class:`RoundEvent` as each round ends (round 0 included),
-        overriding the network-level default callback for this run.
-        ``label`` stamps every emitted event's ``stage_label`` so hook
-        consumers (the metrics collector) can attribute rounds to a named
-        solver stage; it does not affect execution or metering.
+        Each round ends with a :class:`RoundEvent` to ``on_round`` (round 0
+        included) when an observer is subscribed.  ``label`` names the
+        solver stage: it is every event's ``stage_label`` and the tracer's
+        span name, and does not affect execution or metering.
 
         The round loop is executed by the engine chosen at construction
         time (see :mod:`repro.congest.engine`); every engine produces
@@ -355,42 +356,11 @@ class CongestNetwork:
         """
         tracer = self.tracer
         if tracer is None:
-            return self._engine.run(
-                factory,
-                inputs=inputs,
-                max_rounds=max_rounds,
-                trace=trace,
-                on_round=on_round,
-                label=label,
-            )
-        # Tracing tee: span the stage, sample a counter per RoundEvent.
-        # Timing happens only in this wrapper — the engines and metering
-        # never see the recorder, so traced runs stay byte-identical.
-        hook = on_round if on_round is not None else self.on_round
-
-        def traced_hook(event: "RoundEvent") -> None:
-            tracer.counter(
-                "congest.round",
-                {
-                    "messages": event.messages,
-                    "words": event.words,
-                    "awake": event.awake,
-                },
-            )
-            if hook is not None:
-                hook(event)
-
+            return self._engine.run(factory, inputs, max_rounds, label)
         with tracer.span(
             label or "run", cat="stage", engine=self._engine.name, n=self.n
         ):
-            return self._engine.run(
-                factory,
-                inputs=inputs,
-                max_rounds=max_rounds,
-                trace=trace,
-                on_round=traced_hook,
-                label=label,
-            )
+            return self._engine.run(factory, inputs, max_rounds, label)
 
     def _collect(
         self,
@@ -429,8 +399,6 @@ def run_stages(
     inputs: Mapping[Any, Any] | None = None,
     max_rounds: int | None = None,
     reset_state: bool = True,
-    trace: bool = False,
-    on_round: Callable[[RoundEvent], None] | None = None,
     stage_labels: Iterable[str | None] | None = None,
 ) -> tuple[RunResult, list[RunResult]]:
     """Run ``stages`` back-to-back, summing round/message statistics.
@@ -438,16 +406,9 @@ def run_stages(
     Per-node ``state`` dicts persist across stages so a stage can leave
     results for the next (the paper's phases communicate the same way: the
     state a node holds when one phase ends is its input to the next).
-
-    ``trace`` and ``on_round`` are forwarded to every stage's
-    ``network.run`` (so per-stage traces land on the per-stage results and
-    a single hook spans the whole pipeline); each forwarded event is
-    stamped with the zero-based stage index (``event.stage``) before
-    delivery.  ``on_round=None`` falls back to the network-level default
-    hook, which gets the same stage stamping.  ``stage_labels`` optionally
-    names the stages (passed as ``label=`` per run, surfacing as
-    ``event.stage_label``); extra labels are ignored, missing ones are
-    ``None``.
+    ``stage_labels`` optionally names the stages (passed as ``label=`` per
+    run); extra labels are ignored, missing ones are ``None``.  The
+    network's observers see every stage's events.
 
     Returns ``(combined, per_stage)`` where ``combined`` holds the outputs of
     the final stage and the summed stats.
@@ -455,22 +416,14 @@ def run_stages(
     if reset_state:
         network.reset_state()
     labels = list(stage_labels) if stage_labels is not None else []
-    hook = on_round if on_round is not None else network.on_round
     per_stage: list[RunResult] = []
     total = RunStats(word_bits=network.word_bits)
     last: RunResult | None = None
     for index, factory in enumerate(stages):
-        stage_hook = None
-        if hook is not None:
-            def stage_hook(event, _index=index, _hook=hook):
-                event.stage = _index
-                _hook(event)
         last = network.run(
             factory,
             inputs=inputs,
             max_rounds=max_rounds,
-            trace=trace,
-            on_round=stage_hook,
             label=labels[index] if index < len(labels) else None,
         )
         per_stage.append(last)

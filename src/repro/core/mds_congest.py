@@ -350,23 +350,18 @@ def approx_mds_square(
     seed: int = 0,
     samples: int | None = None,
     max_phases: int | None = None,
-    engine: str | None = None,
 ) -> DistributedCoverResult:
     """Run the Theorem 28 algorithm end to end.
 
     Returns a dominating set of ``G^2`` (always feasible); w.h.p. the set is
-    an O(log Delta)-approximation computed in polylog rounds.  ``engine``
-    picks the runtime for a freshly built network; incompatible with
-    ``network``.
+    an O(log Delta)-approximation computed in polylog rounds.
     """
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must be non-empty")
     if not nx.is_connected(graph):
         raise ValueError("CONGEST algorithms require a connected graph")
     if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+        network = CongestNetwork(graph, seed=seed)
     n = network.n
     if samples is None:
         samples = default_samples(n)

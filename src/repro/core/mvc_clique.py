@@ -264,15 +264,12 @@ def approx_mvc_square_clique_deterministic(
     network: CongestedCliqueNetwork | None = None,
     local_solver: LocalSolver | None = None,
     seed: int = 0,
-    engine: str | None = None,
 ) -> DistributedCoverResult:
     """Corollary 10: deterministic (1+eps)-approximation in O(eps n + 1/eps)."""
     if not nx.is_connected(graph):
         raise ValueError("the input graph G must be connected")
     if network is None:
-        network = CongestedCliqueNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+        network = CongestedCliqueNetwork(graph, seed=seed)
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:
@@ -306,7 +303,6 @@ def approx_mvc_square_clique_randomized(
     local_solver: LocalSolver | None = None,
     seed: int = 0,
     phase_budget_factor: float = 6.0,
-    engine: str | None = None,
 ) -> DistributedCoverResult:
     """Theorem 11: randomized (1+eps)-approximation in O(log n + 1/eps).
 
@@ -317,9 +313,7 @@ def approx_mvc_square_clique_randomized(
     if not nx.is_connected(graph):
         raise ValueError("the input graph G must be connected")
     if network is None:
-        network = CongestedCliqueNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+        network = CongestedCliqueNetwork(graph, seed=seed)
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:

@@ -244,7 +244,6 @@ def approx_mvc_square(
     network: CongestNetwork | None = None,
     local_solver: LocalSolver | None = None,
     seed: int = 0,
-    engine: str | None = None,
 ) -> DistributedCoverResult:
     """Run Algorithm 1 end to end on the CONGEST simulator.
 
@@ -262,18 +261,13 @@ def approx_mvc_square(
         How the leader solves the residual instance ``H = G^2[U]``.
         Defaults to exact branch and bound; Corollary 17 plugs in the
         centralized 5/3-approximation instead.
-    engine:
-        Execution engine for a freshly built network (``"v1"``/``"v2"``);
-        incompatible with passing ``network``.
     """
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must be non-empty")
     if not nx.is_connected(graph):
         raise ValueError("CONGEST algorithms require a connected graph")
     if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+        network = CongestNetwork(graph, seed=seed)
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:

@@ -192,22 +192,18 @@ def approx_mwvc_square(
     weights: Mapping[Any, int] | None = None,
     network: CongestNetwork | None = None,
     seed: int = 0,
-    engine: str | None = None,
 ) -> DistributedCoverResult:
     """Theorem 7 end to end: (1+eps)-approximate MWVC of ``G^2``.
 
     Weights default to the ``weight`` node attribute (missing = 1) and must
-    be nonnegative integers (O(log n)-bit in the model).  ``engine`` picks
-    the runtime for a freshly built network; incompatible with ``network``.
+    be nonnegative integers (O(log n)-bit in the model).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not nx.is_connected(graph):
         raise ValueError("CONGEST algorithms require a connected graph")
     if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+        network = CongestNetwork(graph, seed=seed)
     table = _weights_table(graph, weights)
     inputs = dict(table)
 

@@ -2,8 +2,8 @@
 
 :class:`MetricsCollector` is the consumer the instrumentation hooks were
 built for: attach one to a :class:`~repro.congest.network.CongestNetwork`
-(``on_round``) and — on the MPC backend — to the
-:class:`~repro.mpc.runtime.MPCRuntime` shuffle trace (``on_shuffle``),
+(it subscribes to the round-event stream) and — on the MPC backend — to
+the :class:`~repro.mpc.runtime.MPCRuntime` shuffle trace (``on_shuffle``),
 and it aggregates the streams into per-phase series (messages, words,
 cut words, awake counts, shuffle loads, rounds per shuffle) plus a
 structured JSON document suitable to sit next to the ``BENCH_*.json``
@@ -26,10 +26,9 @@ The document is split in two, and the split is the contract:
   window lengths, per-machine loads) and the auto-compression ledger.
 
 Phases are detected on the event stream itself: every ``run`` emits a
-round-0 event, so a new phase starts exactly there.  Stage attribution
-arrives on the events — :func:`~repro.congest.network.run_stages` stamps
-``stage`` indices, and ``run(label=...)`` stamps ``stage_label`` — and is
-used for phase naming, falling back to positional names.
+round-0 event, so a new phase starts exactly there.  A phase is named by
+its events' ``stage_label`` (the ``label=`` passed to ``run``), falling
+back to a positional name.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class MetricsCollector:
 
     def __init__(self, label: str | None = None) -> None:
         self.label = label
-        #: One entry per detected phase: stage index / label attribution
-        #: plus the phase's ordered RoundEvents.
+        #: One entry per detected phase: its label plus its ordered
+        #: RoundEvents.
         self.phases: list[dict[str, Any]] = []
         #: Live ShuffleRecord references (``absorb_early_finish`` may
         #: still shrink the last one, so aggregation happens at emit
@@ -89,17 +88,12 @@ class MetricsCollector:
     # -- the hooks ---------------------------------------------------------
 
     def on_round(self, event: Any) -> None:
-        """RoundEvent hook: pass as ``on_round=`` (or via :meth:`attach`)."""
+        """RoundEvent observer: subscribed by :meth:`attach`."""
         if event.round_index == 0 or not self.phases:
-            self.phases.append(
-                {"stage": event.stage, "label": event.stage_label,
-                 "events": []}
-            )
+            self.phases.append({"label": event.stage_label, "events": []})
         phase = self.phases[-1]
         if phase["label"] is None and event.stage_label is not None:
             phase["label"] = event.stage_label
-        if phase["stage"] is None and event.stage is not None:
-            phase["stage"] = event.stage
         phase["events"].append(event)
 
     def on_shuffle(self, record: Any) -> None:
@@ -109,12 +103,12 @@ class MetricsCollector:
     def attach(self, network: Any) -> "MetricsCollector":
         """Hook this collector into ``network`` (and its MPC runtime).
 
-        Sets the network-level ``on_round`` default — so every stage a
-        solver runs on the network is observed — and, when the network
-        carries an MPC runtime (:class:`MPCCongestNetwork`), the
+        Subscribes to the network's round-event stream — so every stage
+        a solver runs on the network is observed — and, when the network
+        carries an MPC runtime (:class:`MPCCongestNetwork`), sets the
         runtime's ``on_shuffle`` hook as well.  Returns ``self``.
         """
-        network.on_round = self.on_round
+        network.subscribe(self.on_round)
         # Back-reference so solver drivers can record convergence series
         # without threading the collector through every signature.
         network.collector = self
@@ -167,8 +161,6 @@ class MetricsCollector:
     def _phase_name(self, index: int, phase: dict[str, Any]) -> str:
         if phase["label"] is not None:
             return str(phase["label"])
-        if phase["stage"] is not None:
-            return f"stage{phase['stage']}"
         return f"phase{index}"
 
     def deterministic_payload(self) -> dict[str, Any]:
@@ -316,20 +308,26 @@ def validate_metrics(document: dict[str, Any]) -> None:
             f"convergence.{name}", series, "integer-series"
         )
     for index, phase in enumerate(deterministic["phases"]):
+        where = f"phases[{index}]"
+        if not isinstance(phase, dict):
+            raise ValueError(f"{where} must be an object")
         for key in ("index", "label", "rounds", "messages", "words",
                     "cut_words", "series"):
             if key not in phase:
-                raise ValueError(f"phase {index} is missing {key!r}")
+                raise ValueError(f"{where} is missing {key!r}")
         series = phase["series"]
+        if not isinstance(series, dict):
+            raise ValueError(f"{where}.series must be an object")
         for key in ("messages", "words", "cut_words"):
+            if key not in series:
+                raise ValueError(f"{where}.series is missing {key!r}")
             reject_non_integer_series(
-                f"phases[{index}].series.{key}", series[key],
-                "integer-series",
+                f"{where}.series.{key}", series[key], "integer-series"
             )
         lengths = {len(series[k]) for k in ("messages", "words", "cut_words")}
         if len(lengths) != 1:
-            raise ValueError(f"phase {index} series lengths disagree")
+            raise ValueError(f"{where} series lengths disagree")
         if phase["rounds"] != max(len(series["messages"]) - 1, 0):
             raise ValueError(
-                f"phase {index} rounds do not match its series length"
+                f"{where} rounds do not match its series length"
             )

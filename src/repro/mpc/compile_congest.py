@@ -25,16 +25,16 @@ with the explicit ``io_factor`` constant), falling back to the classical
 ``k' = 1`` compilation rather than raising.  Compression changes only
 the MPC ledger — ``MPCRunStats.shuffles`` drops below
 ``MPCRunStats.congest_rounds`` — never the CONGEST ledger: outputs,
-``RunStats``, traces and the per-round event stream stay word-for-word
-identical to engine v2 at every ``k`` (the parity harness asserts it).
+``RunStats`` and the per-round event stream stay word-for-word identical
+to engine v2 at every ``k`` (the parity harness asserts it).
 
 Two ledgers are kept at once, and that is the point:
 
 * the **CONGEST ledger** — engine v2's
   :class:`~repro.congest.engine.OutboxMeter` validates and meters every
   (sender, target, payload) in the shards, so ``RunResult`` outputs,
-  ``RunStats`` and traces are word-for-word identical to engines v1/v2 on
-  the same graph and seed (the *parity claim*, asserted by
+  ``RunStats`` and round events are word-for-word identical to engines
+  v1/v2 on the same graph and seed (the *parity claim*, asserted by
   :func:`solve_with_parity` against a live engine-v2 shadow network
   consuming the per-round ``RoundEvent`` stream);
 * the **MPC ledger** — the runtime meters shuffle words, per-machine
@@ -56,7 +56,7 @@ depend on how machines are laid out on shards, and a sum cannot.
 
 There is one round loop, in the ``"mpc"`` :class:`~repro.congest.engine.Engine`
 that the network installs in place of the CONGEST engines (so
-:meth:`CongestNetwork.run` keeps the tracing tee and the engine base the
+:meth:`CongestNetwork.run` keeps the stage span and the engine base the
 round-event construction).  Per window it plans the length, shuffles or
 replays, and steps ``_CompiledShard`` handlers through one of two
 executors of :mod:`repro.mpc.parallel`: in-process, with one shard of
@@ -711,8 +711,8 @@ class _CompiledEngine(Engine):
     parent only sums integers: it folds the fragments into the CONGEST
     ledger and the shuffle loads and emits the round events.  The
     executor is the loop's only variable, so outputs, ``RunStats``,
-    traces, round events and the MPC ledger cannot depend on the worker
-    count or the window length.
+    round events and the MPC ledger cannot depend on the worker count or
+    the window length.
     """
 
     name = "mpc"
@@ -728,24 +728,14 @@ class _CompiledEngine(Engine):
         factory: AlgorithmFactory,
         inputs: Mapping[Any, Any] | None = None,
         max_rounds: int | None = None,
-        trace: bool = False,
-        on_round: Callable[[RoundEvent], None] | None = None,
         label: str | None = None,
     ) -> RunResult:
         net: MPCCongestNetwork = self.network
-        algorithms, stats, timeline, max_rounds, hook = self._setup(
-            factory, inputs, max_rounds, trace, on_round
+        algorithms, stats, max_rounds, hook = self._setup(
+            factory, inputs, max_rounds
         )
         runtime = net.runtime
         tracer = net.tracer
-        if tracer is not None:
-            # Observation only: the shuffle barrier and the fault plane
-            # mark into the network's recorder; planning, metering and
-            # the ledgers never read it.
-            runtime.tracer = tracer
-            injector = runtime.fault_injector
-            if injector is not None and injector.tracer is None:
-                injector.tracer = tracer
         n = net.n
         shards = net._node_shards(_parallel.shard_workers(net.workers))
         handlers = [
@@ -778,9 +768,9 @@ class _CompiledEngine(Engine):
             live_machines -= step.emptied
             stats = stats + step.stats
             self._end_round(
-                timeline, hook, 0, step.stats.messages,
-                step.stats.total_words, n, step.stats.cut_words,
-                n - len(outputs), label,
+                hook, label, 0, step.stats.messages,
+                step.stats.total_words, step.stats.cut_words,
+                n - len(outputs), n,
             )
             while len(outputs) < n:
                 if stats.rounds >= max_rounds:
@@ -816,9 +806,9 @@ class _CompiledEngine(Engine):
                     live_machines -= step.emptied
                     stats = stats + step.stats
                     self._end_round(
-                        timeline, hook, stats.rounds, step.stats.messages,
-                        step.stats.total_words, step.awake,
-                        step.stats.cut_words, n - len(outputs), label,
+                        hook, label, stats.rounds, step.stats.messages,
+                        step.stats.total_words, step.stats.cut_words,
+                        n - len(outputs), step.awake,
                     )
                     executed += 1
                 if window > 1:
@@ -827,9 +817,7 @@ class _CompiledEngine(Engine):
                         tracer.end(executed=executed)
             for node_state in executor.step_all(("finalize", None)):
                 net.node_state.update(node_state)
-        return self._result(
-            {nid: outputs[nid] for nid in range(n)}, stats, timeline
-        )
+        return self._result({nid: outputs[nid] for nid in range(n)}, stats)
 
     def _merge(
         self,
@@ -881,12 +869,6 @@ class _CompiledEngine(Engine):
 # -- parity harness ---------------------------------------------------------
 
 
-def _event_key(event: RoundEvent) -> tuple[int, int, int, int]:
-    # ``awake`` is engine-dependent by design (the compiled run invokes
-    # every live node, v2 sleeps); everything else must agree.
-    return (event.round_index, event.messages, event.words, event.cut_words)
-
-
 def _mpc_network(
     graph: nx.Graph,
     config: RunConfig,
@@ -917,8 +899,8 @@ def solve_with_parity(
     ``repro.core`` drivers do) and return an object with ``cover`` and
     ``stats`` attributes.  Both networks share the graph and seed, so the
     runs must agree on the solution, on every ``RunStats`` field and on
-    the per-round ``RoundEvent`` stream (messages/words/cut words, round
-    by round, across all stages) — any divergence raises
+    the per-round ``RoundEvent`` stream (``==`` event lists, across all
+    stages) — any divergence raises
     :class:`ParityError`.  The ``config`` (model ``mpc``) options only
     change the MPC ledger and its execution, so the parity claim is
     asserted unchanged at every ``compress`` (``"auto"`` included),
@@ -933,14 +915,7 @@ def solve_with_parity(
     )
     ref_result = solver(network=ref_net)
     mpc_net = _mpc_network(graph, config, seed, collector, tracer)
-    observer = mpc_net.on_round
-
-    def record(event: RoundEvent) -> None:
-        mpc_events.append(event)
-        if observer is not None:
-            observer(event)
-
-    mpc_net.on_round = record
+    mpc_net.subscribe(mpc_events.append)
     mpc_result = solver(network=mpc_net)
 
     if mpc_result.cover != ref_result.cover:
@@ -954,18 +929,18 @@ def solve_with_parity(
             f"MPC and engine-v2 RunStats differ: {mpc_result.stats} vs "
             f"{ref_result.stats}"
         )
-    if len(mpc_events) != len(ref_events):
+    if mpc_events != ref_events:
+        for mpc_event, ref_event in zip(mpc_events, ref_events):
+            if mpc_event != ref_event:
+                raise ParityError(
+                    f"per-round metering diverged at round "
+                    f"{ref_event.round_index}: MPC {mpc_event} vs "
+                    f"engine v2 {ref_event}"
+                )
         raise ParityError(
             f"round event streams differ in length: {len(mpc_events)} MPC "
             f"rounds vs {len(ref_events)} engine-v2 rounds"
         )
-    for mpc_event, ref_event in zip(mpc_events, ref_events):
-        if _event_key(mpc_event) != _event_key(ref_event):
-            raise ParityError(
-                f"per-round metering diverged at round "
-                f"{ref_event.round_index}: MPC {_event_key(mpc_event)} vs "
-                f"engine v2 {_event_key(ref_event)}"
-            )
     report = {
         "parity": True,
         "rounds_compared": len(ref_events),
@@ -986,27 +961,38 @@ def run_stage_parity(
     Runs each factory back to back on an MPC network built from
     ``config`` and on an engine-v2 network (same graph, same seed), with
     ``prepare(network)`` seeding any required per-node state on each side
-    first.  Asserts per-stage outputs, stats and traces are identical — at
+    first.  Asserts per-stage outputs, stats and round events are
+    identical — at
     any ``compress`` window, since compression never touches the CONGEST
     ledger; returns a summary dict (stage count, rounds, the MPC ledger).
     """
     stages = list(stages)
-    ref_net = CongestNetwork(graph, seed=seed, engine="v2")
+    ref_events: list[RoundEvent] = []
+    mpc_events: list[RoundEvent] = []
+    ref_net = CongestNetwork(
+        graph, seed=seed, engine="v2", on_round=ref_events.append
+    )
     mpc_net = _mpc_network(graph, config, seed)
+    mpc_net.subscribe(mpc_events.append)
     for net in (ref_net, mpc_net):
         net.reset_state()
         if prepare is not None:
             prepare(net)
     rounds = 0
     for index, factory in enumerate(stages):
-        ref = ref_net.run(factory, trace=True)
-        mpc = mpc_net.run(factory, trace=True)
-        for field in ("outputs", "by_id", "stats", "trace"):
+        ref = ref_net.run(factory)
+        mpc = mpc_net.run(factory)
+        for field in ("outputs", "by_id", "stats"):
             if getattr(ref, field) != getattr(mpc, field):
                 raise ParityError(
                     f"stage {index} field {field!r} differs between the "
                     f"MPC compilation and engine v2"
                 )
+        if mpc_events != ref_events:
+            raise ParityError(
+                f"stage {index} round events differ between the MPC "
+                f"compilation and engine v2"
+            )
         rounds += ref.stats.rounds
     return {
         "parity": True,

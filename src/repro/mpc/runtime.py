@@ -116,7 +116,10 @@ class MPCRunStats:
 
 @dataclass
 class ShuffleRecord:
-    """Per-shuffle traffic: the MPC analogue of a trace ``RoundRecord``.
+    """Per-shuffle traffic: the MPC analogue of a CONGEST ``RoundEvent``.
+
+    The runtime's list of these (``MPCRuntime.trace``) is the shuffle
+    ledger; each record also goes to ``on_shuffle`` as it is booked.
 
     ``congest_rounds`` is the number of CONGEST rounds this shuffle
     carried: 1 under the classical compilation, ``k`` for a compressed

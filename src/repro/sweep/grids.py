@@ -121,7 +121,7 @@ def solver_engines_grid(quick: bool = False) -> GridSpec:
 
     * *parity points* (small n) — the benchmark asserts byte-identical
       payloads across all three engine configurations, and re-runs the
-      solver stages with tracing on to compare full round timelines;
+      solver stages to compare their full round-event lists;
     * *timing points* (n >= 200, denser than the sweep default so the
       broadcast batches are wide) — the benchmark reports the v2-batched
       speedup over v2-dict (the engine exactly as of the pre-batching

@@ -456,7 +456,7 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
 
     Runs the Phase I MVC protocol and the Lemma 29 estimator as bare
     stages on the MPC runtime against an engine-v2 shadow (outputs, stats
-    and full traces must be identical), then the native matching with its
+    and round events must be identical), then the native matching with its
     maximality oracle.  The CLI ``verify --model mpc`` fans these cells
     out over seeds.
     """

@@ -3,8 +3,9 @@
 ``TraceRecorder`` (see :mod:`repro.trace.recorder` for the determinism
 and clock contracts) collects Chrome trace-event / Perfetto JSON;
 ``validate_trace`` / ``load_trace`` check the emitted shape.  Wire-up is
-``--trace PATH`` on the mvc/mds/sweep/verify CLI commands, or setting
-``network.tracer`` / passing ``tracer=`` to the MPC solvers directly.
+``--trace PATH`` on the mvc/mds/sweep/verify CLI commands, or
+:meth:`TraceRecorder.attach` on a network / passing ``tracer=`` to the
+MPC solvers directly.
 """
 
 from repro.trace.recorder import MAIN_TID, TraceRecorder

@@ -176,6 +176,36 @@ class TraceRecorder:
         """
         self._emit("C", name, self.now_ns(), tid, "", dict(values))
 
+    # -- wiring ------------------------------------------------------------
+
+    def attach(self, network: Any) -> "TraceRecorder":
+        """Record ``network``'s runs into this timeline; return ``self``.
+
+        Sets ``network.tracer`` (a ``stage`` span per run) and subscribes
+        a ``congest.round`` counter to the round-event stream.  On an MPC
+        network the shuffle barrier and the fault plane mark into the
+        same timeline.  Planning, metering and the ledgers never read it.
+        """
+        network.tracer = self
+        network.subscribe(self._on_round)
+        runtime = getattr(network, "runtime", None)
+        if runtime is not None:
+            runtime.tracer = self
+            injector = runtime.fault_injector
+            if injector is not None and injector.tracer is None:
+                injector.tracer = self
+        return self
+
+    def _on_round(self, event: Any) -> None:
+        self.counter(
+            "congest.round",
+            {
+                "messages": event.messages,
+                "words": event.words,
+                "awake": event.awake,
+            },
+        )
+
     # -- output ------------------------------------------------------------
 
     def __len__(self) -> int:

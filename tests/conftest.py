@@ -5,7 +5,15 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.congest.network import CongestNetwork, RoundEvent
 from repro.graphs.generators import gnp_graph, random_geometric, random_tree
+
+
+def record_events(network: CongestNetwork) -> list[RoundEvent]:
+    """Subscribe a fresh list to ``network``'s round events; return it."""
+    events: list[RoundEvent] = []
+    network.subscribe(events.append)
+    return events
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 A :class:`~repro.congest.message.BatchOutbox` must be indistinguishable
 from its expanded ``{target: payload}`` dictionary on every engine
 configuration (``v1``, ``v2-dict``, ``v2``): same outputs, same
-``RunStats`` word for word, same traces, and the same exceptions with the
-same messages.  These tests pin that contract from every angle the
+``RunStats`` word for word, same round events, and the same exceptions
+with the same messages.  These tests pin that contract from every angle the
 engines distinguish internally — trusted broadcasts, untrusted
 ``send_many`` targets, oversize payloads, invalid targets, duplicate
 targets, self-loop graphs, custom metering subclasses and the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from conftest import record_events
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.algorithm import NodeAlgorithm
@@ -27,24 +28,26 @@ from repro.graphs.generators import gnp_graph, path_graph, star_graph
 ENGINES = ("v1", "v2-dict", "v2")
 
 
-def run_everywhere(graph, factory, seed=0, trace=True, **net_kwargs):
-    """Run ``factory`` under every engine configuration; return results."""
-    return {
-        engine: CongestNetwork(
-            graph, seed=seed, engine=engine, **net_kwargs
-        ).run(factory, trace=trace)
-        for engine in ENGINES
-    }
+def run_everywhere(graph, factory, seed=0, network=CongestNetwork, **kwargs):
+    """Run ``factory`` under every engine configuration.
+
+    Returns ``{engine: (result, round events)}``.
+    """
+    runs = {}
+    for engine in ENGINES:
+        net = network(graph, seed=seed, engine=engine, **kwargs)
+        events = record_events(net)
+        runs[engine] = (net.run(factory), events)
+    return runs
 
 
-def assert_all_equal(results, trace=True):
-    first = next(iter(results.values()))
-    for engine, result in results.items():
+def assert_all_equal(results):
+    first, first_events = next(iter(results.values()))
+    for engine, (result, events) in results.items():
         assert result.outputs == first.outputs, engine
         assert result.by_id == first.by_id, engine
         assert result.stats == first.stats, engine
-        if trace:
-            assert result.trace == first.trace, engine
+        assert events == first_events, engine
 
 
 def raise_everywhere(graph, factory, exc_type, seed=0, **net_kwargs):
@@ -132,12 +135,12 @@ def test_batch_and_dict_outboxes_identical_everywhere(graph):
     for results in by_form.values():
         assert_all_equal(results)
     # Across forms too: a batch is the dict, byte for byte.
-    reference = by_form["batch"]["v1"]
+    reference, reference_events = by_form["batch"]["v1"]
     for form, results in by_form.items():
-        for engine, result in results.items():
+        for engine, (result, events) in results.items():
             assert result.stats == reference.stats, (form, engine)
             assert result.outputs == reference.outputs, (form, engine)
-            assert result.trace == reference.trace, (form, engine)
+            assert events == reference_events, (form, engine)
 
 
 class _OversizeBroadcast(NodeAlgorithm):
@@ -252,9 +255,9 @@ class _DuplicateTargets(NodeAlgorithm):
 def test_duplicate_targets_metered_per_occurrence_delivered_once():
     results = run_everywhere(path_graph(3), _DuplicateTargets)
     assert_all_equal(results)
-    stats = results["v1"].stats
-    assert stats.messages == 3  # each occurrence crosses the edge
-    assert results["v1"].by_id[1] == {0: (5,)}  # one inbox slot
+    result, _ = results["v1"]
+    assert result.stats.messages == 3  # each occurrence crosses the edge
+    assert result.by_id[1] == {0: (5,)}  # one inbox slot
 
 
 class _SurchargeNetwork(CongestNetwork):
@@ -267,15 +270,10 @@ class _SurchargeNetwork(CongestNetwork):
 
 def test_custom_meter_applies_to_batches_everywhere():
     graph = star_graph(10)
-    results = {
-        engine: _SurchargeNetwork(graph, seed=1, engine=engine).run(
-            _BatchPing, trace=True
-        )
-        for engine in ENGINES
-    }
+    results = run_everywhere(graph, _BatchPing, 1, _SurchargeNetwork)
     assert_all_equal(results)
     plain = CongestNetwork(graph, seed=1).run(_BatchPing)
-    surcharged = results["v2"].stats
+    surcharged = results["v2"][0].stats
     assert surcharged.total_words == (
         plain.stats.total_words + plain.stats.messages
     )
@@ -417,7 +415,7 @@ class TestBatchMeteringProperty:
                 cut=[(0, 1)],
             )
             assert_all_equal(results)
-            all_stats.append(results["v2"].stats)
+            all_stats.append(results["v2"][0].stats)
         batch_stats, dict_stats = all_stats
         assert batch_stats == dict_stats
         assert batch_stats.total_words == expected_words

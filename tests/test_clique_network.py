@@ -89,19 +89,21 @@ def _run(engine, factory, n=10, seed=3, **net_kwargs):
     net = CongestedCliqueNetwork(
         gnp_graph(n, 0.3, seed=seed), seed=seed, engine=engine, **net_kwargs
     )
-    return net.run(factory, trace=True)
+    return net.run(factory)
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("factory", [AllToAllDict, AllToAllBatch])
     def test_all_to_all_identical_across_engines(self, factory):
-        reference = _run("v1", factory)
+        reference_events, events = [], []
+        reference = _run("v1", factory, on_round=reference_events.append)
         for engine in ENGINES[1:]:
-            got = _run(engine, factory)
+            events.clear()
+            got = _run(engine, factory, on_round=events.append)
             assert got.outputs == reference.outputs
             assert got.by_id == reference.by_id
             assert got.stats == reference.stats
-            assert got.trace == reference.trace
+            assert events == reference_events
         # every node heard from everyone: the clique really is complete.
         assert all(
             out == sorted(set(range(10)) - {node})

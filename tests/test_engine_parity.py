@@ -2,7 +2,7 @@
 
 Every scenario below runs twice — once on the reference engine and once on
 the activity-scheduled engine — and asserts identical ``outputs``,
-``RunStats`` and (where traced) per-round ``trace`` timelines.  This is the
+``RunStats`` and ``==`` lists of per-round ``RoundEvent``s.  This is the
 correctness contract that lets the faster engine be the default.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from conftest import record_events
 
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.clique import CongestedCliqueNetwork
@@ -54,27 +55,34 @@ def family_graph(family: str, n: int, seed: int) -> nx.Graph:
     return FAMILIES[family](n, seed)
 
 
-def assert_same_result(a, b, trace: bool = False) -> None:
+def assert_same_result(a, b) -> None:
     assert a.outputs == b.outputs
     assert a.by_id == b.by_id
     assert a.stats == b.stats
-    if trace:
-        assert a.trace == b.trace
 
 
 def run_on_both(graph: nx.Graph, runner, seed: int = 0, clique: bool = False):
-    """``runner(network) -> result`` under each engine; returns both."""
+    """``runner(network) -> result`` under each engine; returns both.
+
+    The two engines' round-event lists must be ``==`` as well.
+    """
     cls = CongestedCliqueNetwork if clique else CongestNetwork
-    return [runner(cls(graph, seed=seed, engine=eng)) for eng in ENGINES]
+    results, streams = [], []
+    for eng in ENGINES:
+        net = cls(graph, seed=seed, engine=eng)
+        streams.append(record_events(net))
+        results.append(runner(net))
+    assert streams[0] == streams[1]
+    return results
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_bfs_trace_parity(family):
     graph = family_graph(family, 17, seed=2)
     v1, v2 = run_on_both(
-        graph, lambda net: net.run(lambda v: BfsTreeAlgorithm(v, 0), trace=True)
+        graph, lambda net: net.run(lambda v: BfsTreeAlgorithm(v, 0))
     )
-    assert_same_result(v1, v2, trace=True)
+    assert_same_result(v1, v2)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -101,9 +109,9 @@ def test_convergecast_and_broadcast_parity(family):
 @pytest.mark.parametrize("seed", (0, 5))
 def test_mvc_congest_parity(family, seed):
     graph = family_graph(family, 14, seed=seed)
-    v1, v2 = [
-        approx_mvc_square(graph, 0.5, seed=seed, engine=eng) for eng in ENGINES
-    ]
+    v1, v2 = run_on_both(
+        graph, lambda net: approx_mvc_square(graph, 0.5, network=net), seed
+    )
     assert v1.cover == v2.cover
     assert v1.stats == v2.stats
     assert v1.detail == v2.detail
@@ -112,9 +120,9 @@ def test_mvc_congest_parity(family, seed):
 @pytest.mark.parametrize("family", ("er", "star", "path"))
 def test_mwvc_congest_parity(family):
     graph = random_weights(family_graph(family, 13, seed=7), low=1, high=9, seed=7)
-    v1, v2 = [
-        approx_mwvc_square(graph, 0.5, seed=7, engine=eng) for eng in ENGINES
-    ]
+    v1, v2 = run_on_both(
+        graph, lambda net: approx_mwvc_square(graph, 0.5, network=net), 7
+    )
     assert v1.cover == v2.cover
     assert v1.stats == v2.stats
 
@@ -122,7 +130,9 @@ def test_mwvc_congest_parity(family):
 @pytest.mark.parametrize("family", ("er", "power-law", "star"))
 def test_mds_congest_parity(family):
     graph = family_graph(family, 11, seed=4)
-    v1, v2 = [approx_mds_square(graph, seed=4, engine=eng) for eng in ENGINES]
+    v1, v2 = run_on_both(
+        graph, lambda net: approx_mds_square(graph, network=net), 4
+    )
     assert v1.cover == v2.cover
     assert v1.stats == v2.stats
     assert v1.detail == v2.detail
@@ -136,7 +146,9 @@ def test_mvc_clique_parity(model):
         if model == "det"
         else approx_mvc_square_clique_randomized
     )
-    v1, v2 = [solver(graph, 0.5, seed=9, engine=eng) for eng in ENGINES]
+    v1, v2 = run_on_both(
+        graph, lambda net: solver(graph, 0.5, network=net), 9, clique=True
+    )
     assert v1.cover == v2.cover
     assert v1.stats == v2.stats
 
@@ -226,13 +238,13 @@ class _SurchargeNetwork(CongestNetwork):
 
 def test_custom_meter_override_honored_by_both_engines():
     graph = star_graph(12)
-    results = [
-        _SurchargeNetwork(graph, seed=3, engine=eng).run(
-            lambda v: BfsTreeAlgorithm(v, 0), trace=True
-        )
-        for eng in ENGINES
-    ]
-    assert_same_result(*results, trace=True)
+    results, streams = [], []
+    for eng in ENGINES:
+        net = _SurchargeNetwork(graph, seed=3, engine=eng)
+        streams.append(record_events(net))
+        results.append(net.run(lambda v: BfsTreeAlgorithm(v, 0)))
+    assert_same_result(*results)
+    assert streams[0] == streams[1]
     # The surcharge actually applied: one extra word per message.
     plain = CongestNetwork(graph, seed=3).run(
         lambda v: BfsTreeAlgorithm(v, 0)
@@ -260,9 +272,3 @@ def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         CongestNetwork(path_graph(3), engine="v3")
 
-
-def test_engine_and_network_are_mutually_exclusive():
-    graph = path_graph(5)
-    net = CongestNetwork(graph)
-    with pytest.raises(ValueError):
-        approx_mvc_square(graph, 0.5, network=net, engine="v1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import record_events
 
 from repro.config import RunConfig
 from repro.congest.algorithm import NodeAlgorithm
@@ -61,48 +62,41 @@ class _CountDown(NodeAlgorithm):
 class TestStageAttribution:
     """Satellite: run_stages must forward instrumentation, not swallow it."""
 
-    def test_run_stages_stamps_stage_indices(self):
-        graph = gnp_graph(10, 0.3, seed=3)
-        net = CongestNetwork(graph, seed=3)
-        events = []
-        run_stages(
-            net,
-            [lambda v: _CountDown(v), lambda v: _CountDown(v, rounds=2)],
-            on_round=events.append,
-        )
-        stages = sorted({e.stage for e in events})
-        assert stages == [0, 1]
-        # Every stage restarts its round numbering at the round-0 event.
-        firsts = [e for e in events if e.round_index == 0]
-        assert [e.stage for e in firsts] == [0, 1]
-
     def test_run_stages_forwards_network_hook(self):
-        # The network-level default hook must see stage-stamped events
-        # even when no explicit on_round is passed to run_stages.
+        # The network's observer sees every stage, round 0 included.
         graph = gnp_graph(8, 0.4, seed=1)
         events = []
         net = CongestNetwork(graph, seed=1, on_round=events.append)
-        run_stages(net, [lambda v: _CountDown(v)])
-        assert events
-        assert all(e.stage == 0 for e in events)
+        combined, _ = run_stages(
+            net, [lambda v: _CountDown(v), lambda v: _CountDown(v, rounds=2)]
+        )
+        assert [e.round_index for e in events].count(0) == 2
+        assert sum(e.messages for e in events) == combined.stats.messages
 
     def test_run_stages_forwards_trace(self):
+        # The recorded stream splits at each round 0 into the per-stage
+        # results' traffic.
         graph = gnp_graph(8, 0.4, seed=1)
         net = CongestNetwork(graph, seed=1)
-        result, per_stage = run_stages(
-            net, [lambda v: _CountDown(v)], trace=True
+        events = record_events(net)
+        _, per_stage = run_stages(
+            net, [lambda v: _CountDown(v), lambda v: _CountDown(v, rounds=2)]
         )
-        assert per_stage[0].trace is not None
-        assert len(per_stage[0].trace) >= 1
+        starts = [i for i, e in enumerate(events) if e.round_index == 0]
+        bounds = zip(starts, starts[1:] + [len(events)])
+        for (lo, hi), result in zip(bounds, per_stage, strict=True):
+            assert hi - lo == result.stats.rounds + 1
+            assert sum(e.words for e in events[lo:hi]) == (
+                result.stats.total_words
+            )
 
     def test_stage_labels_reach_the_events(self):
         graph = gnp_graph(8, 0.4, seed=2)
         net = CongestNetwork(graph, seed=2)
-        events = []
+        events = record_events(net)
         run_stages(
             net,
             [lambda v: _CountDown(v), lambda v: _CountDown(v)],
-            on_round=events.append,
             stage_labels=["warmup", "main"],
         )
         assert {e.stage_label for e in events} == {"warmup", "main"}
@@ -110,12 +104,20 @@ class TestStageAttribution:
     def test_run_label_stamps_stage_label(self):
         graph = gnp_graph(8, 0.4, seed=2)
         net = CongestNetwork(graph, seed=2)
-        events = []
-        net.run(lambda v: _CountDown(v), on_round=events.append,
-                label="solo")
+        events = record_events(net)
+        net.run(lambda v: _CountDown(v), label="solo")
         assert events
         assert all(e.stage_label == "solo" for e in events)
-        assert all(e.stage is None for e in events)
+
+    def test_unlabelled_phases_are_named_by_position(self):
+        graph = gnp_graph(8, 0.4, seed=2)
+        net = CongestNetwork(graph, seed=2)
+        collector = MetricsCollector(label="pos").attach(net)
+        run_stages(
+            net, [lambda v: _CountDown(v)] * 3, stage_labels=[None, "mid"]
+        )
+        phases = collector.to_json()["deterministic"]["phases"]
+        assert [p["label"] for p in phases] == ["phase0", "mid", "phase2"]
 
     def test_solver_phases_are_labeled(self):
         graph = gnp_graph(12, 0.3, seed=5)
@@ -205,6 +207,30 @@ class TestValidateMetrics:
             doc["deterministic"]
         )
         with pytest.raises(ValueError, match="series"):
+            validate_metrics(doc)
+
+    @pytest.mark.parametrize(
+        "malform, message",
+        [
+            (lambda phase: phase["series"].pop("words"),
+             r"phases\[0\]\.series is missing 'words'"),
+            (lambda phase: phase.update(series=[1, 2]),
+             r"phases\[0\]\.series must be an object"),
+            (None, r"phases\[0\] must be an object"),
+        ],
+        ids=["series-without-words", "series-not-object", "phase-not-object"],
+    )
+    def test_rejects_malformed_phase(self, malform, message):
+        doc = self._doc()
+        phases = doc["deterministic"]["phases"]
+        if malform is None:
+            phases[0] = 7
+        else:
+            malform(phases[0])
+        doc["deterministic_sha256"] = deterministic_sha256(
+            doc["deterministic"]
+        )
+        with pytest.raises(ValueError, match=message):
             validate_metrics(doc)
 
 

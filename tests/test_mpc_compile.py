@@ -10,21 +10,30 @@ but is captured per cell by the sweep runner.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from conftest import record_events
 
 from repro.config import RunConfig
 from repro.congest.algorithm import NodeAlgorithm
-from repro.congest.network import CongestNetwork
+from repro.congest.network import CongestNetwork, RunStats
 from repro.core.estimation import EstimationStage
 from repro.core.mds_congest import GlobalOrAlgorithm, WinnerAlgorithm
 from repro.core.mvc_congest import PhaseOneAlgorithm, approx_mvc_square
 from repro.core.mds_congest import approx_mds_square
 from repro.congest.primitives import BfsTreeAlgorithm
-from repro.graphs.generators import build_graph, gnp_graph, path_graph
+from repro.graphs.generators import (
+    build_graph,
+    gnp_graph,
+    path_graph,
+    star_graph,
+)
 from repro.graphs.power import square
 from repro.graphs.validation import assert_dominating_set, assert_vertex_cover
 from repro.mpc.compile_congest import (
     MPCCongestNetwork,
+    ParityError,
     run_stage_parity,
     solve_mds_mpc,
     solve_mvc_mpc,
@@ -35,10 +44,12 @@ from repro.sweep import Cell, GridSpec, run_sweep
 
 
 def _stage_results(net, stages, prepare=None):
+    """Each stage's result, and the round events of all of them."""
     net.reset_state()
     if prepare is not None:
         prepare(net)
-    return [net.run(stage, trace=True) for stage in stages]
+    events = record_events(net)
+    return [net.run(stage) for stage in stages], events
 
 
 STAGES = [
@@ -66,11 +77,11 @@ class TestStageParity:
         mpc = _stage_results(
             MPCCongestNetwork(graph, alpha=alpha, seed=5), STAGES, _prepare
         )
-        for expected, got in zip(ref, mpc):
+        for expected, got in zip(ref[0], mpc[0]):
             assert got.outputs == expected.outputs
             assert got.by_id == expected.by_id
             assert got.stats == expected.stats
-            assert got.trace == expected.trace
+        assert mpc[1] == ref[1]
 
     def test_stage_parity_helper(self):
         graph = gnp_graph(16, 0.2, seed=2)
@@ -117,7 +128,9 @@ class TestFullSolverParity:
         graph = gnp_graph(16, 0.2, seed=6)
         net = MPCCongestNetwork(graph, alpha=0.9, seed=6)
         result = approx_mvc_square(graph, 0.5, network=net)
-        ref = approx_mvc_square(graph, 0.5, seed=6, engine="v2")
+        ref = approx_mvc_square(
+            graph, 0.5, network=CongestNetwork(graph, seed=6, engine="v2")
+        )
         assert result.cover == ref.cover
         assert result.stats == ref.stats
         assert net.runtime.stats.rounds == result.stats.rounds
@@ -133,6 +146,25 @@ class TestFullSolverParity:
         )
         assert report["parity"] is True
         assert report["rounds_compared"] > 0
+
+    def test_solve_with_parity_names_first_differing_round(self):
+        # Same summed stats and answer, different per-round traffic: the
+        # MPC side runs the two BFS stages in the other order.
+        graph = star_graph(6)
+
+        def solver(network):
+            roots = [0, network.n - 1]
+            if isinstance(network, MPCCongestNetwork):
+                roots.reverse()
+            stats = sum(
+                (network.run(lambda v, r=r: BfsTreeAlgorithm(v, r)).stats
+                 for r in roots),
+                RunStats(),
+            )
+            return SimpleNamespace(cover=set(), stats=stats)
+
+        with pytest.raises(ParityError, match="diverged at round 0"):
+            solve_with_parity(solver, graph, RunConfig("mpc", alpha=0.9))
 
 
 class TestMachineLedger:

@@ -12,6 +12,7 @@ path (never raises) when the k-hop frontier does not fit.
 from __future__ import annotations
 
 import pytest
+from conftest import record_events
 
 from repro.config import RunConfig
 from repro.congest.network import CongestNetwork
@@ -46,10 +47,12 @@ def _prepare(net):
 
 
 def _stage_results(net, stages, prepare=None):
+    """Each stage's result, and the round events of all of them."""
     net.reset_state()
     if prepare is not None:
         prepare(net)
-    return [net.run(stage, trace=True) for stage in stages]
+    events = record_events(net)
+    return [net.run(stage) for stage in stages], events
 
 
 class TestCompressedStageParity:
@@ -66,11 +69,11 @@ class TestCompressedStageParity:
             STAGES,
             _prepare,
         )
-        for expected, got in zip(ref, mpc):
+        for expected, got in zip(ref[0], mpc[0]):
             assert got.outputs == expected.outputs
             assert got.by_id == expected.by_id
             assert got.stats == expected.stats
-            assert got.trace == expected.trace
+        assert mpc[1] == ref[1]
 
     @pytest.mark.parametrize("compress", COMPRESSIONS)
     def test_stage_parity_helper_accepts_compress(self, compress):
@@ -179,6 +182,8 @@ class TestForcedFallback:
         assert stats.congest_rounds == result.stats.rounds
         assert all(r.congest_rounds == 1 for r in net.runtime.trace)
         # ... and the fallback still satisfies parity.
-        ref = approx_mvc_square(graph, 0.5, seed=7, engine="v2")
+        ref = approx_mvc_square(
+            graph, 0.5, network=CongestNetwork(graph, seed=7, engine="v2")
+        )
         assert result.cover == ref.cover
         assert result.stats == ref.stats

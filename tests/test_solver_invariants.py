@@ -13,6 +13,7 @@ import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.congest.network import CongestNetwork
 from repro.core.mds_congest import approx_mds_square
 from repro.core.mvc_congest import approx_mvc_square
 from repro.core.mwvc_congest import approx_mwvc_square
@@ -45,7 +46,8 @@ def test_mvc_congest_feasible_and_within_factor(engine_name, n, seed, eps):
     """Theorem 1: the returned set covers G^2 at cost <= (1+eps) * OPT."""
     graph = gnp_graph(n, 0.3, seed=seed)
     sq = square(graph)
-    result = approx_mvc_square(graph, eps, seed=seed, engine=engine_name)
+    network = CongestNetwork(graph, seed=seed, engine=engine_name)
+    result = approx_mvc_square(graph, eps, network=network)
     assert is_vertex_cover(sq, result.cover)
     opt = len(minimum_vertex_cover(sq))
     assert len(result.cover) <= (1 + eps) * opt + 1e-9
@@ -62,7 +64,8 @@ def test_mwvc_congest_feasible_and_within_factor(engine_name, n, seed):
     sq = square(graph)
     for v in sq.nodes:
         sq.nodes[v][WEIGHT] = graph.nodes[v][WEIGHT]
-    result = approx_mwvc_square(graph, eps, seed=seed, engine=engine_name)
+    network = CongestNetwork(graph, seed=seed, engine=engine_name)
+    result = approx_mwvc_square(graph, eps, network=network)
     assert is_vertex_cover(sq, result.cover)
     weights = {v: graph.nodes[v][WEIGHT] for v in graph.nodes}
     opt_cover = minimum_weighted_vertex_cover(sq, weights)
@@ -83,7 +86,8 @@ def test_mds_congest_feasible_and_bounded(engine_name, n, seed):
     """
     graph = gnp_graph(n, 0.3, seed=seed)
     sq = square(graph)
-    result = approx_mds_square(graph, seed=seed, engine=engine_name)
+    network = CongestNetwork(graph, seed=seed, engine=engine_name)
+    result = approx_mds_square(graph, network=network)
     assert is_dominating_set(sq, result.cover)
     opt = len(minimum_dominating_set(sq))
     max_degree = max(dict(sq.degree).values()) if sq.number_of_edges() else 0

@@ -4,9 +4,9 @@ Each converted stage (Phase I status protocol, Lemma 29 estimator, rho
 flood, winner propagation, convergecast-OR) is run twice under the
 activity engine — once as shipped and once through a forced-awake subclass
 whose ``wants_wake`` always returns True, i.e. the pre-override behavior —
-and once under the reference engine.  Outputs, stats and traces must be
-identical in all three runs: a ``wants_wake`` override may change *when* a
-node is invoked, never *what* the run computes.
+and once under the reference engine.  Outputs, stats and round events
+must be identical in all three runs: a ``wants_wake`` override may change
+*when* a node is invoked, never *what* the run computes.
 
 The convergecast-OR stage is additionally checked to actually *sleep*:
 its invocation count under the activity engine must be strictly below the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from conftest import record_events
 
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import BfsTreeAlgorithm
@@ -56,10 +57,12 @@ def forced_awake(cls):
 
 
 def assert_same(a, b, label):
+    """``a`` and ``b`` are ``(result, round events)`` pairs."""
+    (a, a_events), (b, b_events) = a, b
     assert a.outputs == b.outputs, label
     assert a.by_id == b.by_id, label
     assert a.stats == b.stats, label
-    assert a.trace == b.trace, label
+    assert a_events == b_events, label
 
 
 STAGES = {
@@ -93,7 +96,8 @@ def _run_stage(graph, stage_key, factory, engine):
         net.node_state[node_id]["is_candidate"] = node_id % 2 == 0
         net.node_state[node_id]["density_estimate"] = float(node_id % 5)
         net.node_state[node_id]["vote_estimate"] = float(node_id % 3)
-    return net.run(factory, inputs=inputs, trace=True)
+    events = record_events(net)
+    return net.run(factory, inputs=inputs), events
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -129,13 +133,14 @@ def test_global_or_parity_with_bfs_state(family):
         net.run(lambda v: BfsTreeAlgorithm(v, net.n - 1))
         for node_id in net.ids():
             net.node_state[node_id]["in_U"] = node_id == 0
-        return net.run(factory, trace=True)
+        events = record_events(net)
+        return net.run(factory), events
 
     base = lambda v: GlobalOrAlgorithm(v, "in_U")
     v2 = run("v2", base)
     v1 = run("v1", base)
     assert_same(v2, v1, (family, "global-or"))
-    assert all(v2.outputs.values())  # node 0 is uncovered -> OR is true
+    assert all(v2[0].outputs.values())  # node 0 is uncovered -> OR is true
 
     awake = forced_awake(GlobalOrAlgorithm)
     forced = run("v2", lambda v: awake(v, "in_U"))

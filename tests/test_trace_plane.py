@@ -143,7 +143,7 @@ class TestCongestSpans:
     def test_solver_stage_taxonomy(self):
         graph = gnp_graph(14, 0.3, seed=5)
         net = CongestNetwork(graph, seed=0)
-        net.tracer = rec = TraceRecorder()
+        rec = TraceRecorder().attach(net)
         approx_mvc_square(graph, 0.5, network=net)
         summary = validate_trace(rec.to_json())
         names = set(summary["names"])
@@ -210,7 +210,7 @@ class TestObserverContract:
         net = CongestNetwork(graph, seed=0)
         collector = MetricsCollector(label="mvc").attach(net)
         if traced:
-            net.tracer = TraceRecorder()
+            TraceRecorder().attach(net)
         approx_mvc_square(graph, 0.5, network=net)
         return collector.to_json()["deterministic_sha256"]
 
